@@ -3,6 +3,7 @@ module Support = Tagsim_tags.Support
 module Machine = Tagsim_sim.Machine
 module Stats = Tagsim_sim.Stats
 module Image = Tagsim_asm.Image
+module Layout = Tagsim_runtime.Layout
 module Program = Tagsim_compiler.Program
 module Codegen = Tagsim_compiler.Codegen
 module Oracle = Tagsim_compiler.Oracle
@@ -92,10 +93,8 @@ type run = {
   r_gc : (int * int) option;
 }
 
-let compile ~backend ~opt ~scheme ~support source =
-  match
-    Program.compile ~backend ~opt ~sizes:Gen.sizes ~scheme ~support source
-  with
+let compile ?(sizes = Gen.sizes) ~backend ~opt ~scheme ~support source =
+  match Program.compile ~backend ~opt ~sizes ~scheme ~support source with
   | p -> Ok p
   | exception Program.Error m -> Error m
   | exception Codegen.Error m -> Error m
@@ -145,6 +144,21 @@ let config_name ~scheme ~support ~opt extra =
   Fmt.str "%s/%s/%s%s" scheme.Scheme.name (Support.describe support)
     (match opt with `None -> "opt:none" | `Checks -> "opt:checks")
     extra
+
+(* The sizing a heap overflow is re-checked under: 16x the fuzzing
+   semispace, the same stack. *)
+let roomy =
+  { Gen.sizes with Layout.semi_bytes = 16 * Gen.sizes.Layout.semi_bytes }
+
+(* The [`None] outcome of one cell under [roomy] sizing, on the
+   matrix's first backend and engine. *)
+let roomy_outcome ~fuel m ~scheme ~support source =
+  match
+    compile ~sizes:roomy ~backend:(List.hd m.m_backends) ~opt:`None ~scheme
+      ~support source
+  with
+  | Ok p -> (run_engine ~fuel ~engine:(List.hd m.m_engines) p).r_outcome
+  | Error msg -> Compile_error msg
 
 (* Check one (scheme, support) cell; returns the first divergence and
    whether any configuration actually ran the program. *)
@@ -275,28 +289,36 @@ let check_cell ~fuel m ~scheme ~support source : string option * bool =
     | _ -> ()
   end;
   (* host oracle: under full checking the machine models exactly the
-     checked semantics the reference interpreter implements *)
+     checked semantics the reference interpreter implements — except
+     that the machine's heap is bounded and the host's is not.  So a
+     heap overflow at [Gen.sizes] that disagrees with the host is
+     re-run with [roomy] semispaces, and that outcome must agree. *)
   if !diverged = None && support.Support.runtime_checking then begin
     match List.assoc_opt `None !level_outcome with
-    | Some (Value _ | Abort _) as machine_outcome ->
-        let machine = Option.get machine_outcome in
-        (match Oracle.run ~scheme source with
-        | Oracle.Value v ->
-            let host = Value (Oracle.to_string v) in
+    | Some ((Value _ | Abort _) as machine) -> (
+        let host =
+          match Oracle.run ~scheme source with
+          | Oracle.Value v -> Some (Value (Oracle.to_string v))
+          | Oracle.Error "out of fuel" ->
+              (* the host interpreter's step budget is not
+                 cycle-accurate; no comparison possible *)
+              None
+          | Oracle.Error e -> Some (Abort e)
+          | exception Expand.Error _ -> None
+          | exception Sexp.Parse_error _ -> None
+        in
+        match host with
+        | Some host when not (outcome_equal machine host) ->
+            let machine, extra =
+              if machine <> Abort "heap overflow" then (machine, "")
+              else
+                ( roomy_outcome ~fuel m ~scheme ~support source,
+                  Fmt.str " (semispace %d)" roomy.Layout.semi_bytes )
+            in
             if not (outcome_equal machine host) then
-              fail "%s: machine %s, host oracle %s" (name ~opt:`None "")
+              fail "%s: machine %s, host oracle %s" (name ~opt:`None extra)
                 (outcome_to_string machine) (outcome_to_string host)
-        | Oracle.Error "out of fuel" ->
-            (* the host interpreter's step budget is not cycle-accurate;
-               no comparison possible *)
-            ()
-        | Oracle.Error e ->
-            let host = Abort e in
-            if not (outcome_equal machine host) then
-              fail "%s: machine %s, host oracle %s" (name ~opt:`None "")
-                (outcome_to_string machine) (outcome_to_string host)
-        | exception Expand.Error _ -> ()
-        | exception Sexp.Parse_error _ -> ())
+        | _ -> ())
     | _ ->
         (* compile rejections (expression depth), timeouts and wild
            faults have no host counterpart *)

@@ -13,7 +13,10 @@
     - [`Checks] must preserve the observable outcome (value or trap)
       whenever run-time checking is on;
     - under full checking, the machine outcome must agree with the
-      frozen host reference interpreter ({!Tagsim_compiler.Oracle}). *)
+      frozen host reference interpreter ({!Tagsim_compiler.Oracle}).
+      The host has no heap bound, so a machine heap overflow under
+      {!Gen.sizes} that disagrees with it is re-run with 16x larger
+      semispaces, and that outcome must agree instead. *)
 
 module Scheme := Tagsim_tags.Scheme
 module Support := Tagsim_tags.Support

@@ -68,7 +68,11 @@ type t = {
   code : Image.entry array;
   code_entries : int array;
       (* addresses of all code labels, for basic-block leader detection *)
-  mem : int array;
+  mutable mem : int array;
+      (* the materialised prefix of word memory: a power of two of at
+         least 1024 words, grown by doubling in [write_word]; words past
+         its end read as 0 *)
+  mem_words : int; (* addressable size in words: hw.mem_bytes / 4 *)
   regs : int array;
   mutable pc : int;
   mutable pending_load : int; (* register with an in-flight load, or -1 *)
@@ -175,12 +179,19 @@ let err_mem = 3
 let err_div0 = 4
 let err_user_base = 16 (* Trap n aborts with code err_user_base + n *)
 
+(* [n] doubled until it covers [words] words, capped at [limit]: the
+   size of the materialised memory prefix. *)
+let prefix_words ~limit n words =
+  let rec double n = if n >= words then n else double (2 * n) in
+  min limit (double n)
+
 let create ?(fuel = 600_000_000) ?(engine = `Reference) ~hw (image : Image.t) =
   if hw.mem_bytes land (hw.mem_bytes - 1) <> 0 then
     invalid_arg "mem_bytes must be a power of two";
-  let mem = Array.make (hw.mem_bytes / 4) 0 in
-  Array.blit image.Image.data_words 0 mem 0
-    (Array.length image.Image.data_words);
+  let mem_words = hw.mem_bytes / 4 in
+  let data_words = Array.length image.Image.data_words in
+  let mem = Array.make (prefix_words ~limit:mem_words 1024 data_words) 0 in
+  Array.blit image.Image.data_words 0 mem 0 data_words;
   (* Sorted: [Hashtbl.fold] enumerates in an unspecified (hash-seeded)
      order, and the entry list must not vary from process to process. *)
   let code_entries =
@@ -192,6 +203,7 @@ let create ?(fuel = 600_000_000) ?(engine = `Reference) ~hw (image : Image.t) =
     code = image.Image.code;
     code_entries;
     mem;
+    mem_words;
     regs = Array.make Reg.count 0;
     pc = 0;
     pending_load = -1;
@@ -222,16 +234,31 @@ let stats t = t.stats
 (* The range guard is on the (possibly negative signed) byte address
    itself: [addr lsr 2] of a negative int is a huge positive index, so an
    [idx < 0] test after the shift could never fire — a wild pointer must
-   fault on the address, not wrap. *)
+   fault on the address, not wrap.  Only the touched prefix of memory is
+   materialised: the fast path is a hit in [t.mem]; a miss below
+   [t.mem_words] reads as 0, or grows [t.mem] for a store. *)
 let read_word t addr =
-  if addr < 0 || addr lsr 2 >= Array.length t.mem then
+  if addr >= 0 && addr lsr 2 < Array.length t.mem then t.mem.(addr lsr 2)
+  else if addr < 0 || addr lsr 2 >= t.mem_words then
     errorf "load fault at %d" addr
-  else t.mem.(addr lsr 2)
+  else 0
+
+(* Double [t.mem] until it covers word [idx] (< [t.mem_words]). *)
+let grow t idx =
+  let len = Array.length t.mem in
+  let mem = Array.make (prefix_words ~limit:t.mem_words len (idx + 1)) 0 in
+  Array.blit t.mem 0 mem 0 len;
+  t.mem <- mem
 
 let write_word t addr v =
-  if addr < 0 || addr lsr 2 >= Array.length t.mem then
+  if addr >= 0 && addr lsr 2 < Array.length t.mem then
+    t.mem.(addr lsr 2) <- Word.of_int v
+  else if addr < 0 || addr lsr 2 >= t.mem_words then
     errorf "store fault at %d" addr
-  else t.mem.(addr lsr 2) <- Word.of_int v
+  else begin
+    grow t (addr lsr 2);
+    t.mem.(addr lsr 2) <- Word.of_int v
+  end
 
 (** Direct memory access for the host (loader, result decoding, perf
     counters). *)

@@ -64,7 +64,11 @@ type t = {
   hw : hw;
   code : Image.entry array;
   code_entries : int array; (* addresses of all code labels *)
-  mem : int array;
+  mutable mem : int array;
+      (* the materialised prefix of word memory: words past its end read
+         as 0, and only {!write_word} grows it — access memory through
+         {!read_word}/{!write_word}, never through this array *)
+  mem_words : int; (* addressable size in words: [hw.mem_bytes / 4] *)
   regs : int array;
   mutable pc : int;
   mutable pending_load : int; (* register with an in-flight load, or -1 *)

@@ -624,6 +624,44 @@ let test_pool_jobs_agree () =
         a.Run.gc_collections b.Run.gc_collections)
     serial parallel
 
+(* A compiled program whose heap ends exactly at the top of the 4 MiB
+   address space: every cons store and every collector copy into the
+   upper semispace goes through a masked (tag-carrying) pointer to the
+   last words of memory, far past the prefix a machine materialises on
+   creation.  All four engines must agree exactly. *)
+let test_top_of_memory () =
+  let src =
+    "(de build (n acc) (if (greaterp n 0) (build (- n 1) (cons n acc)) acc))\n\
+     (de main () (let ((i 20) (r nil)) (while (greaterp i 0) (setq r \
+     (build 200 nil)) (setq i (- i 1))) (length r)))"
+  in
+  let module L = Tagsim.Layout in
+  let support = Support.with_checking Support.software in
+  let compile sizes = P.compile ~sizes ~scheme ~support src in
+  let semi_bytes = 4096 in
+  let probe = compile { L.stack_bytes = 4096; semi_bytes } in
+  let mem_bytes = probe.P.mem_bytes in
+  let data_end = (probe.P.image.Image.data_end + 7) land lnot 7 in
+  let sizes =
+    { L.stack_bytes = mem_bytes - data_end - (2 * semi_bytes); semi_bytes }
+  in
+  let program = compile sizes in
+  let map = L.compute_map ~data_end ~sizes ~mem_bytes in
+  Alcotest.(check int)
+    "heap ends at the top of memory" mem_bytes
+    (map.L.heap_b + semi_bytes);
+  let reference = P.run ~engine:`Reference program in
+  Alcotest.(check (option string))
+    "value" (Some "200")
+    (Option.map P.hval_to_string reference.P.value);
+  Alcotest.(check bool) "collects" true (reference.P.gc_collections > 0);
+  List.iter
+    (fun e ->
+      check_result
+        ("top-of-memory " ^ Machine.engine_name e)
+        reference (P.run ~engine:e program))
+    [ `Predecoded; `Fused; `Traced ]
+
 let suite =
   [
     ( "engines",
@@ -656,5 +694,6 @@ let suite =
           Alcotest.test_case "trace-attach-idempotent" `Quick
             test_trace_attach_idempotent;
           Alcotest.test_case "pool-jobs" `Quick test_pool_jobs_agree;
+          Alcotest.test_case "top-of-memory" `Quick test_top_of_memory;
         ] );
   ]

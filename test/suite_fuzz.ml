@@ -221,6 +221,46 @@ let cx_mul_wrap_corner = "(de main () (let ((x (* -536870912 -1))) x))"
    valid 30-bit products. *)
 let cx_mul_big_ok = "(de main () (let ((x (* -16384 32767))) x))"
 
+(* The machine's heap is bounded and the host oracle's is not: this
+   program keeps about 24 KiB of lists live, so under the fuzzer's
+   16 KiB semispaces it overflows the heap while the host returns 150.
+   The oracle re-checks such an overflow under 16x larger semispaces.
+   Shrunk from seed 46, program 32, on the smoke matrix. *)
+let cx_heap_overflow =
+  "(de h0 (p0) (if (greaterp p0 0) (cons nil (h0 (- p0 1)))))\n\
+   (de h1 (p0) (if (greaterp p0 0) (cons (h0 20) (h1 (- p0 1)))))\n\
+   (de main () (length (h1 150)))"
+
+let overflows_at_fuzz_sizes src =
+  let p =
+    Program.compile ~sizes:Gen.sizes ~scheme:Scheme.high5 ~support:chk src
+  in
+  Alcotest.(check (option string))
+    "overflows at Gen.sizes" (Some "heap overflow")
+    (Program.run p).Program.abort
+
+let test_heap_overflow_rechecked () =
+  overflows_at_fuzz_sizes cx_heap_overflow;
+  agree_on ~matrix:Cross.smoke "heap overflow" cx_heap_overflow ()
+
+(* The re-check is not a waiver: with about 480 KiB live the program
+   overflows the larger heap too, and still diverges from the host. *)
+let test_heap_overflow_still_diverges () =
+  let src =
+    "(de h0 (p0) (if (greaterp p0 0) (cons nil (h0 (- p0 1)))))\n\
+     (de h1 (p0) (if (greaterp p0 0) (cons (h0 400) (h1 (- p0 1)))))\n\
+     (de main () (length (h1 150)))"
+  in
+  overflows_at_fuzz_sizes src;
+  match Cross.check Cross.smoke src with
+  | Cross.Diverge d ->
+      Alcotest.(check string)
+        "detail"
+        "high5/rtc/opt:none (semispace 262144): machine abort: heap \
+         overflow, host oracle value 150"
+        d.Cross.d_detail
+  | Cross.Agree | Cross.Rejected -> Alcotest.fail "overflow waived"
+
 let test_arity_abort_message () =
   let p =
     Program.compile ~sizes:Gen.sizes ~scheme:Scheme.high5 ~support:chk
@@ -273,6 +313,10 @@ let suite =
           (agree_on "mul-wrap-corner" cx_mul_wrap_corner);
         Alcotest.test_case "regression-mul-big-ok" `Quick
           (agree_on "mul-big-ok" cx_mul_big_ok);
+        Alcotest.test_case "regression-heap-overflow" `Quick
+          test_heap_overflow_rechecked;
+        Alcotest.test_case "heap-overflow-still-diverges" `Quick
+          test_heap_overflow_still_diverges;
         Alcotest.test_case "arity-abort-message" `Quick
           test_arity_abort_message;
         Alcotest.test_case "hw-type-error-message" `Quick

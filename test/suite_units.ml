@@ -369,6 +369,71 @@ let test_sched_hoisting () =
   | Machine.Halted n -> Alcotest.failf "got %d" n
   | Machine.Aborted c -> Alcotest.failf "aborted %d" c
 
+(* --- Word memory: only the touched prefix is materialised, but the
+   whole [mem_bytes] address space behaves as zero-filled memory. --- *)
+
+let hw4 = Scheme.machine_hw Scheme.high5 (* the default 4 MiB *)
+let mem4 = hw4.Machine.mem_bytes
+let image_data = [| 11; 22; 33 |]
+
+let test_memory_untouched_zero () =
+  let m = Machine.create ~hw:hw4 (raw_image ~data:image_data [ Insn.Halt ]) in
+  Alcotest.(check (list int))
+    "loaded data" (Array.to_list image_data)
+    (List.map (Machine.peek m) [ 0; 4; 8 ]);
+  List.iter
+    (fun addr ->
+      Alcotest.(check int) (Printf.sprintf "word at %d" addr) 0
+        (Machine.peek m addr))
+    [ 12; 4096; 4100; mem4 / 2; mem4 / 2 + 4; mem4 - 8; mem4 - 4 ]
+
+let test_memory_growth () =
+  let m = Machine.create ~hw:hw4 (raw_image ~data:image_data [ Insn.Halt ]) in
+  Machine.poke m 12 44;
+  Machine.poke m 8192 55;
+  Machine.poke m (mem4 - 4) 66;
+  Alcotest.(check (list int))
+    "earlier contents survive growth"
+    [ 11; 22; 33; 44; 55 ]
+    (List.map (Machine.peek m) [ 0; 4; 8; 12; 8192 ]);
+  Alcotest.(check int) "last word" 66 (Machine.peek m (mem4 - 4));
+  Alcotest.(check int) "below last word" 0 (Machine.peek m (mem4 - 8))
+
+let test_memory_faults () =
+  let m = Machine.create ~hw:hw4 (raw_image ~data:image_data [ Insn.Halt ]) in
+  let fault what f expected =
+    match f () with
+    | _ -> Alcotest.failf "%s: no fault" what
+    | exception Machine.Machine_error msg ->
+        Alcotest.(check string) what expected msg
+  in
+  List.iter
+    (fun addr ->
+      fault
+        (Printf.sprintf "load %d" addr)
+        (fun () -> ignore (Machine.peek m addr))
+        (Printf.sprintf "load fault at %d" addr);
+      fault
+        (Printf.sprintf "store %d" addr)
+        (fun () -> Machine.poke m addr 1)
+        (Printf.sprintf "store fault at %d" addr))
+    [ mem4; mem4 + 4; -4 ];
+  (* a faulting store neither grows nor writes memory *)
+  Alcotest.(check int) "top word still 0" 0 (Machine.peek m (mem4 - 4))
+
+(* Creating a machine costs the image's data, not the address space:
+   zero-filling all [mem_bytes / 4] words would allocate 64x the limit. *)
+let test_memory_create_alloc () =
+  let image = raw_image ~data:image_data [ Insn.Halt ] in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Machine.create ~hw:hw4 image));
+  let words =
+    int_of_float (Gc.allocated_bytes () -. before) / (Sys.word_size / 8)
+  in
+  if words >= mem4 / 64 then
+    Alcotest.failf "Machine.create allocated %d words (limit %d)" words
+      (mem4 / 64)
+
 let test_stats_merge_equal () =
   let module Annot = Tagsim.Annot in
   let sample k =
@@ -432,5 +497,11 @@ let suite =
         Alcotest.test_case "assembler-errors" `Quick test_assembler_errors;
         Alcotest.test_case "sched-hoisting" `Quick test_sched_hoisting;
         Alcotest.test_case "stats-merge-equal" `Quick test_stats_merge_equal;
+        Alcotest.test_case "memory-untouched-zero" `Quick
+          test_memory_untouched_zero;
+        Alcotest.test_case "memory-growth" `Quick test_memory_growth;
+        Alcotest.test_case "memory-faults" `Quick test_memory_faults;
+        Alcotest.test_case "memory-create-alloc" `Quick
+          test_memory_create_alloc;
       ] );
   ]
