@@ -121,23 +121,24 @@ let pp_stats ppf (stats : Tagsim.Stats.t) =
     (pct (Tagsim.Stats.gc stats))
 
 let run_program source sizes scheme support opt engine =
-  let program, result =
-    Tagsim.Program.run_source ~opt ~engine ~sizes ~scheme ~support source
-  in
-  (match result.Tagsim.Program.abort with
-  | Some msg -> Fmt.pr "aborted: %s@." msg
-  | None ->
-      Fmt.pr "result: %s@."
-        (Tagsim.Program.hval_to_string
-           (Option.get result.Tagsim.Program.value)));
-  Fmt.pr "%a" pp_stats result.Tagsim.Program.stats;
-  Fmt.pr "collections: %d (%d bytes copied)@."
-    result.Tagsim.Program.gc_collections
-    result.Tagsim.Program.gc_bytes_copied;
-  Fmt.pr "object code: %d words@."
-    program.Tagsim.Program.meta.Tagsim.Program.object_words;
-  let elided = program.Tagsim.Program.meta.Tagsim.Program.checks_eliminated in
-  if elided > 0 then Fmt.pr "checks eliminated: %d@." elided
+  match Tagsim.Program.run_source ~opt ~engine ~sizes ~scheme ~support source with
+  | exception Tagsim.Machine.Machine_error msg ->
+      Fmt.pr "aborted: machine error: %s@." msg
+  | program, result ->
+      (match result.Tagsim.Program.abort with
+      | Some msg -> Fmt.pr "aborted: %s@." msg
+      | None ->
+          Fmt.pr "result: %s@."
+            (Tagsim.Program.hval_to_string
+               (Option.get result.Tagsim.Program.value)));
+      Fmt.pr "%a" pp_stats result.Tagsim.Program.stats;
+      Fmt.pr "collections: %d (%d bytes copied)@."
+        result.Tagsim.Program.gc_collections
+        result.Tagsim.Program.gc_bytes_copied;
+      Fmt.pr "object code: %d words@."
+        program.Tagsim.Program.meta.Tagsim.Program.object_words;
+      let elided = program.Tagsim.Program.meta.Tagsim.Program.checks_eliminated in
+      if elided > 0 then Fmt.pr "checks eliminated: %d@." elided
 
 let sizes_of (entry_sizes : Tagsim.Layout.sizes) semi : Tagsim.Layout.sizes =
   match semi with
@@ -401,15 +402,13 @@ let print_run_summary () =
     tt.Tagsim.Machine.tt_formed tt.Tagsim.Machine.tt_entries
     (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
     (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
-  (let phits, pmisses, pwrites, ploaded =
-     Tagsim.Analysis.Instrument.plan_totals ()
-   in
+  (let phits, pmisses, pwrites = Tagsim.Plan.counters () in
    if Tagsim.Plan.enabled () then
      Fmt.epr
        "plans: %d loaded (%d hits, %d misses), %d formed, %d flushed (dir \
         %s)@."
-       ploaded phits pmisses tt.Tagsim.Machine.tt_formed pwrites
-       (Tagsim.Plan.dir ())
+       (Tagsim.Plan.traces_loaded ())
+       phits pmisses tt.Tagsim.Machine.tt_formed pwrites (Tagsim.Plan.dir ())
    else Fmt.epr "plans: disabled@.");
   match Tagsim.Analysis.Run.dispatch_summary () with
   | Some d -> Fmt.epr "dispatch: %s@." d

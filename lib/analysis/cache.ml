@@ -25,15 +25,11 @@
     {b Version stamp.} [version] must be bumped on any change that can
     alter a measurement without changing the key's other inputs: code
     generation, runtime assembly, scheme semantics, the cost model, or
-    the {!Stats.t} layout.  The stamp participates in the key digest
-    {e and} heads the entry payload, so stale entries from either side
-    of a bump are simply never hit.
+    the {!Stats.t} layout.
 
-    {b Robustness.} A cache entry is an optimisation, never an
-    authority: unreadable, truncated, corrupt or stale-version entries
-    are treated as misses (recompute), and write failures are ignored.
-    Writes are atomic (unique temp file, then [rename]), so concurrent
-    processes and worker domains can share one store. *)
+    {b Robustness.} Entries live in the [cache] namespace of
+    {!Tagsim_store.Store}: every damaged, stale or misplaced entry is a
+    miss (recompute). *)
 
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
@@ -42,6 +38,7 @@ module Sched = Tagsim_asm.Sched
 module Registry = Tagsim_programs.Registry
 module Program = Tagsim_compiler.Program
 module Prelude = Tagsim_compiler.Prelude
+module Store = Tagsim_store.Store
 
 (* Bump on any measurement-affecting change: codegen, runtime, scheme
    semantics, cost model, or Stats layout (see the header comment).
@@ -51,28 +48,15 @@ module Prelude = Tagsim_compiler.Prelude
    4: checked multiplies verify their product by dividing it back. *)
 let version = "4"
 
-(* Configured once by the CLI/bench entry point before any fan-out;
-   plain refs because workers only read them. Disabled by default so
-   that library users (tests above all) opt in explicitly. *)
-let enabled_flag = ref false
-let dir_ref = ref "_tagsim_cache"
+let namespace =
+  Store.create ~name:"cache" ~ext:"entry" ~version ~dir:"_tagsim_cache"
 
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-let dir () = !dir_ref
-let set_dir d = dir_ref := d
-
-let hit_count = Atomic.make 0
-let miss_count = Atomic.make 0
-let write_count = Atomic.make 0
-
-let counters () =
-  (Atomic.get hit_count, Atomic.get miss_count, Atomic.get write_count)
-
-let reset_counters () =
-  Atomic.set hit_count 0;
-  Atomic.set miss_count 0;
-  Atomic.set write_count 0
+let enabled () = Store.enabled namespace
+let set_enabled = Store.set_enabled namespace
+let dir () = Store.dir namespace
+let set_dir = Store.set_dir namespace
+let counters () = Store.counters namespace
+let reset_counters () = Store.reset_counters namespace
 
 (* --- Keys. --- *)
 
@@ -89,21 +73,17 @@ let sched_token (s : Sched.config) =
 
 let key ?(sched = Sched.default) ?(opt = `None) ~scheme ~support
     (entry : Registry.entry) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            "tagsim-cache";
-            version;
-            prelude_digest;
-            Registry.fingerprint entry;
-            scheme.Scheme.name;
-            Support.describe support;
-            sched_token sched;
-            Tagsim_compiler.Tir.opt_token opt;
-          ]))
+  Store.key namespace
+    [
+      prelude_digest;
+      Registry.fingerprint entry;
+      scheme.Scheme.name;
+      Support.describe support;
+      sched_token sched;
+      Tagsim_compiler.Tir.opt_token opt;
+    ]
 
-let entry_path k = Filename.concat !dir_ref (k ^ ".entry")
+let entry_path = Store.path namespace
 
 (* --- Payload (de)serialisation. --- *)
 
@@ -125,7 +105,6 @@ let serialize (p : payload) =
       (String.concat " " (Array.to_list (Array.map string_of_int a)))
   in
   let s = p.p_stats in
-  line "tagsim-cache %s" version;
   line "cycles %d" s.Stats.cycles;
   line "insns %d" s.Stats.insns;
   ints "kind_cycles" s.Stats.kind_cycles;
@@ -163,11 +142,8 @@ let parse (text : string) : payload =
     | [] -> raise Malformed
   in
   match lines with
-  | header :: cycles :: insns :: kinds :: klasses :: squashed :: interlocks
-    :: traps :: trap_cycles :: gc :: meta :: trailer :: _ ->
-      (match expect "tagsim-cache" header with
-      | [ v ] when v = version -> ()
-      | _ -> raise Malformed);
+  | cycles :: insns :: kinds :: klasses :: squashed :: interlocks :: traps
+    :: trap_cycles :: gc :: meta :: trailer :: _ ->
       if String.trim trailer <> "end" then raise Malformed;
       let gc_c, gc_b =
         match expect "gc" gc with
@@ -201,71 +177,6 @@ let parse (text : string) : payload =
       }
   | _ -> raise Malformed
 
-(* --- Store operations. --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load k =
-  if not !enabled_flag then None
-  else
-    let result =
-      (* Any failure mode — missing file, permission error, truncation,
-         corruption, stale version — is a miss, never an error. *)
-      match read_file (entry_path k) with
-      | exception _ -> None
-      | text -> ( match parse text with p -> Some p | exception _ -> None)
-    in
-    (match result with
-    | Some _ -> Atomic.incr hit_count
-    | None -> Atomic.incr miss_count);
-    result
-
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Sys.mkdir p 0o777 with Sys_error _ -> ()
-    end
-  in
-  go path
-
-let store k (p : payload) =
-  if !enabled_flag then
-    (* Atomic publish: unique temp name (pid + domain id, so concurrent
-       writers never share one), then rename.  A failure anywhere just
-       forfeits the cache entry. *)
-    try
-      mkdir_p !dir_ref;
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" (entry_path k) (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (serialize p));
-      Sys.rename tmp (entry_path k);
-      Atomic.incr write_count
-    with _ -> ()
-
-(* Remove every cache entry (and stray temp file) from the store; only
-   files this module created — name contains ".entry" — are touched. *)
-let wipe () =
-  let is_ours name =
-    let pat = ".entry" and n = String.length name in
-    let m = String.length pat in
-    let rec at i = i + m <= n && (String.sub name i m = pat || at (i + 1)) in
-    at 0
-  in
-  match Sys.readdir !dir_ref with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.iter
-        (fun name ->
-          if is_ours name then
-            try Sys.remove (Filename.concat !dir_ref name) with _ -> ())
-        names
+let load k = Store.load namespace k parse
+let store k p = Store.store namespace k serialize p
+let wipe () = Store.wipe namespace

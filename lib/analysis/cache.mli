@@ -2,10 +2,8 @@
     store of serialized measurements, keyed by a digest of the program
     content, the tag-scheme/support/scheduler configuration, the prelude
     sources and the {!version} stamp.  Keys are engine-agnostic (all
-    simulator engines are bit-identical).  Unreadable, truncated,
-    corrupt or stale-version entries are treated as misses, never as
-    errors; writes are atomic (temp file + rename).  See the
-    implementation header for the full contract. *)
+    simulator engines are bit-identical).  See the implementation
+    header for the full contract. *)
 
 module Stats := Tagsim_sim.Stats
 module Scheme := Tagsim_tags.Scheme
@@ -20,17 +18,23 @@ module Program := Tagsim_compiler.Program
     other inputs. *)
 val version : string
 
-(** The store is disabled by default (library users, e.g. tests, opt
-    in); the CLI and bench front ends enable it unless [--no-cache]. *)
+(** {1 Store} The [cache] namespace (files [<dir>/<key>.entry],
+    default directory ["_tagsim_cache"]); the functions below delegate
+    to {!Tagsim_store.Store} on it. *)
+
+val namespace : Tagsim_store.Store.t
 val enabled : unit -> bool
-
 val set_enabled : bool -> unit
-
-(** Store directory, default ["_tagsim_cache"].  Configure before any
-    fan-out starts. *)
 val dir : unit -> string
-
 val set_dir : string -> unit
+val counters : unit -> int * int * int
+val reset_counters : unit -> unit
+val wipe : unit -> unit
+
+(** On-disk path of a key's entry (tests corrupt files through this). *)
+val entry_path : string -> string
+
+(** {1 Entries} *)
 
 (** The content-addressed key of a configuration.  [opt] (default
     [`None]) is the backend optimization level — it changes the emitted
@@ -43,9 +47,6 @@ val key :
   Registry.entry ->
   string
 
-(** On-disk path of a key's entry (tests corrupt files through this). *)
-val entry_path : string -> string
-
 (** What a cache entry holds: everything a {!Run.measurement} carries
     beyond the configuration itself. *)
 type payload = {
@@ -55,17 +56,5 @@ type payload = {
   p_meta : Program.meta;
 }
 
-(** Look a key up; counts a hit or a miss.  [None] when disabled
-    (uncounted), missing, unreadable, corrupt or version-stale. *)
 val load : string -> payload option
-
-(** Write an entry atomically; no-op when disabled, silent on failure. *)
 val store : string -> payload -> unit
-
-(** Delete every cache entry in {!dir}. *)
-val wipe : unit -> unit
-
-(** [(hits, misses, writes)] since start or {!reset_counters}. *)
-val counters : unit -> int * int * int
-
-val reset_counters : unit -> unit

@@ -49,13 +49,6 @@ let backend_totals () = Tagsim_compiler.Bphase.totals ()
     instrumentation entry point. *)
 let trace_totals () = Tagsim_sim.Machine.trace_counters ()
 
-(** The plan store's counters — plan files hit/missed/written plus
-    superblocks pre-compiled from loaded plans — re-exported from the
-    simulator layer, same single-entry-point rationale. *)
-let plan_totals () =
-  let hits, misses, writes = Tagsim_sim.Plan.counters () in
-  (hits, misses, writes, Tagsim_sim.Plan.traces_loaded ())
-
 let reset () =
   Mutex.protect mutex (fun () ->
       compile_s := 0.0;

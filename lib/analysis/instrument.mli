@@ -26,11 +26,6 @@ val backend_totals : unit -> Tagsim_compiler.Bphase.totals
     {!Tagsim_sim.Machine.trace_counters}. *)
 val trace_totals : unit -> Tagsim_sim.Machine.trace_totals
 
-(** The persistent plan store's counters, [(hits, misses, writes,
-    traces_loaded)]: plan files hit/missed/written, plus individual
-    superblocks pre-compiled from loaded plans. *)
-val plan_totals : unit -> int * int * int * int
-
 (** Clears the pipeline totals, the backend breakdown, the trace
     counters and the plan-store counters. *)
 val reset : unit -> unit

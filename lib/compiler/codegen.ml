@@ -659,6 +659,10 @@ and call_or_prim f d name args =
       if Scheme.is_low s then e_ f (Insn.Alui (Insn.Sll, rd, rd, 2))
   | ("eq" | "null" | "pairp" | "atom" | "symbolp" | "vectorp" | "boxp"
     | "numberp" | "lessp" | "greaterp" | "leq" | "geq" | "eqn"), _ ->
+      (* [eval_test] hands a wrong-arity predicate back to [eval]. *)
+      let arity = if type_pred name <> None || name = "null" then 1 else 2 in
+      if List.length args <> arity then
+        errorf "%s expects %d arguments" name arity;
       boolean_result f d (fun ~ltrue ~lfalse ~next ->
           eval_test f d (Ast.Call (name, args)) ~ltrue ~lfalse ~next)
   | _, _ -> call_user f d name args

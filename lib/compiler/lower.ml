@@ -389,6 +389,10 @@ and call_or_prim st d name args =
   | ( ( "eq" | "null" | "pairp" | "atom" | "symbolp" | "vectorp" | "boxp"
       | "numberp" | "lessp" | "greaterp" | "leq" | "geq" | "eqn" ),
       _ ) ->
+      (* [eval_test] hands a wrong-arity predicate back to [eval]. *)
+      let arity = if type_pred name <> None || name = "null" then 1 else 2 in
+      if List.length args <> arity then
+        errorf "%s expects %d arguments" name arity;
       boolean_result st d (fun ~ltrue ~lfalse ~next ->
           eval_test st d (Ast.Call (name, args)) ~ltrue ~lfalse ~next)
   | _, _ -> call_user st d name args

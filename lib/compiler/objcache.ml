@@ -5,8 +5,8 @@
     the startup stub) compiles to a relocatable object: its scheduled
     {!Tagsim_asm.Link.fragment} plus the unit's intern effect on the
     symbol table.  Objects are memoised in-process (L1, always on) and,
-    when enabled, persisted under [_tagsim_cache/obj/] (L2, mirroring
-    the measurement cache {!Tagsim_analysis.Cache}): a full
+    when enabled, persisted under [_tagsim_cache/obj/] (L2, the [obj]
+    namespace of {!Tagsim_store.Store}): a full
     Table-2-style matrix compiles each invariant function once instead
     of once per row, and a second cold process reuses objects on disk.
 
@@ -36,10 +36,8 @@
     symbol-table evolution identical whether units come from the cache
     or from the compiler.
 
-    {b Robustness.}  As with the measurement cache, an entry is an
-    optimisation, never an authority: unreadable, truncated, corrupt or
-    stale-version objects are silent misses, write failures are
-    ignored, and writes are atomic (unique temp file + [rename]). *)
+    {b Robustness.}  Every damaged, stale or misplaced object is a
+    silent miss (see {!Tagsim_store.Store}). *)
 
 module Insn = Tagsim_mipsx.Insn
 module Annot = Tagsim_mipsx.Annot
@@ -50,6 +48,7 @@ module Link = Tagsim_asm.Link
 module Scheme = Tagsim_tags.Scheme
 module Support = Tagsim_tags.Support
 module Ast = Tagsim_lisp.Ast
+module Store = Tagsim_store.Store
 
 (* Bump on any change to emitted code or to this serialisation format:
    code generation, runtime emission, delay-slot scheduling, the
@@ -67,29 +66,19 @@ module Ast = Tagsim_lisp.Ast
    (word-wrapped products used to escape the validity test). *)
 let version = "4"
 
-(* L2 configuration, set once by the CLI/bench entry point before any
-   fan-out.  Disabled by default: library users (tests above all) opt
-   in explicitly.  The L1 memo is always on — objects are immutable and
-   content-addressed, so sharing them is semantics-free. *)
-let enabled_flag = ref false
-let dir_ref = ref (Filename.concat "_tagsim_cache" "obj")
+(* The L1 memo is always on — objects are immutable and
+   content-addressed, so sharing them is semantics-free; its hits count
+   on this namespace too. *)
+let namespace =
+  Store.create ~name:"obj" ~ext:"obj" ~version
+    ~dir:(Filename.concat "_tagsim_cache" "obj")
 
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-let dir () = !dir_ref
-let set_dir d = dir_ref := d
-
-let hit_count = Atomic.make 0
-let miss_count = Atomic.make 0
-let write_count = Atomic.make 0
-
-let counters () =
-  (Atomic.get hit_count, Atomic.get miss_count, Atomic.get write_count)
-
-let reset_counters () =
-  Atomic.set hit_count 0;
-  Atomic.set miss_count 0;
-  Atomic.set write_count 0
+let enabled () = Store.enabled namespace
+let set_enabled = Store.set_enabled namespace
+let dir () = Store.dir namespace
+let set_dir = Store.set_dir namespace
+let counters () = Store.counters namespace
+let reset_counters () = Store.reset_counters namespace
 
 (* --- Objects. --- *)
 
@@ -180,8 +169,8 @@ let def_fingerprint (d : Ast.def) =
   Buffer.contents b
 
 (* The five primitives whose emitted code reads the generic-arithmetic
-   support flags (they all route through [Codegen.emit_arith]; nothing
-   else does). *)
+   support flags (they all route through [Select.emit_arith], or
+   [Codegen.emit_arith] in the monolithic backend; nothing else does). *)
 let arith_prims =
   [ "plus2"; "difference2"; "times2"; "quotient"; "remainder" ]
 
@@ -241,16 +230,11 @@ let env_fingerprint symtab funcs =
 
 let key ~kind ~fingerprint ~env ~(scheme : Scheme.t) ~support_token ~sched
     ~(opt : Tir.opt) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          [
-            "tagsim-obj"; version; kind; fingerprint; env;
-            scheme.Scheme.name; support_token; sched_token sched;
-            Tir.opt_token opt;
-          ]))
-
-let entry_path k = Filename.concat !dir_ref (k ^ ".obj")
+  Store.key namespace
+    [
+      kind; fingerprint; env; scheme.Scheme.name; support_token;
+      sched_token sched; Tir.opt_token opt;
+    ]
 
 (* --- Serialisation (line-oriented text, like the measurement cache:
    stable across compiler versions, diffable, truncation-detectable via
@@ -455,7 +439,6 @@ let insn_of_tokens toks : string Insn.t =
 let serialize (o : obj) =
   let b = Buffer.create 4096 in
   let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
-  line ("tagsim-obj " ^ version);
   line ("elided " ^ string_of_int o.o_elided);
   List.iter (fun l -> line ("local " ^ l)) o.o_frag.Link.f_locals;
   List.iter (fun s -> line ("sym " ^ s)) o.o_interned;
@@ -496,11 +479,6 @@ let parse ~(scheme : Scheme.t) (text : string) : obj =
     match String.index_opt l ' ' with
     | None -> raise Malformed
     | Some i -> String.sub l (i + 1) (String.length l - i - 1)
-  in
-  let lines =
-    match lines with
-    | header :: rest when header = "tagsim-obj " ^ version -> rest
-    | _ -> raise Malformed
   in
   let locals = ref [] and syms = ref [] and code = ref [] and data = ref [] in
   let elided = ref 0 in
@@ -571,63 +549,7 @@ let parse ~(scheme : Scheme.t) (text : string) : obj =
     o_elided = !elided;
   }
 
-(* --- Store operations (same discipline as the measurement cache). --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let disk_load ~scheme k =
-  if not !enabled_flag then None
-  else
-    match read_file (entry_path k) with
-    | exception _ -> None
-    | text -> ( match parse ~scheme text with o -> Some o | exception _ -> None)
-
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Sys.mkdir p 0o777 with Sys_error _ -> ()
-    end
-  in
-  go path
-
-let disk_store k (o : obj) =
-  if !enabled_flag then
-    try
-      mkdir_p !dir_ref;
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" (entry_path k) (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (serialize o));
-      Sys.rename tmp (entry_path k);
-      Atomic.incr write_count
-    with _ -> ()
-
-(* Remove every object (and stray temp file) from the store; only files
-   this module created — name contains ".obj" — are touched. *)
-let wipe () =
-  let is_ours name =
-    let pat = ".obj" and n = String.length name in
-    let m = String.length pat in
-    let rec at i = i + m <= n && (String.sub name i m = pat || at (i + 1)) in
-    at 0
-  in
-  match Sys.readdir !dir_ref with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.iter
-        (fun name ->
-          if is_ours name then
-            try Sys.remove (Filename.concat !dir_ref name) with _ -> ())
-        names
+let wipe () = Store.wipe namespace
 
 (* --- The L1 memo and the lookup protocol. --- *)
 
@@ -668,16 +590,15 @@ let find_image ~keys ~build =
 let find_or_build ~scheme ~key:k ~build =
   match memo_find k with
   | Some o ->
-      Atomic.incr hit_count;
+      Store.count_hit namespace;
       o
   | None -> (
-      match disk_load ~scheme k with
+      match Store.load namespace k (parse ~scheme) with
       | Some o ->
-          Atomic.incr hit_count;
           memo_add k o;
           o
       | None ->
-          Atomic.incr miss_count;
+          if not (enabled ()) then Store.count_miss namespace;
           let o = build () in
           (* Rename the unit's local labels behind its content key,
              once, at build time: keys are unique across the distinct
@@ -686,5 +607,5 @@ let find_or_build ~scheme ~key:k ~build =
              (Persisted objects store the renamed form.) *)
           let o = { o with o_frag = Link.rename ~prefix:("o" ^ k) o.o_frag } in
           memo_add k o;
-          disk_store k o;
+          Store.store namespace k serialize o;
           o)

@@ -5,12 +5,11 @@
     the startup stub) compiles to a relocatable object: its scheduled
     {!Tagsim_asm.Link.fragment} plus the names it interned into the
     symbol table.  Objects are memoised in-process (always on) and,
-    when {!enabled}, persisted as text files under {!dir} — keyed by a
-    digest of the unit's content, its symbol-table environment, the tag
-    scheme, the (projected) support configuration, the scheduler
-    configuration and the format {!version}.  Damaged or stale entries
-    are silent misses; see the implementation header for the full key
-    and robustness story. *)
+    when {!enabled}, persisted in the [obj] namespace of
+    {!Tagsim_store.Store} — keyed by a digest of the unit's content, its
+    symbol-table environment, the tag scheme, the (projected) support
+    configuration, the scheduler configuration and the format
+    {!version}.  See the implementation header for the full key. *)
 
 (** Format/semantics stamp baked into every key and entry header.  Bump
     on any change to emitted code (code generation, runtime emission,
@@ -18,18 +17,20 @@
     bumps pair with a [Cache.version] bump, format-only bumps do not. *)
 val version : string
 
-(** {1 Store configuration (L2; the in-process memo is always on)} *)
+(** {1 Store} The L2 is the [obj] namespace (files [<dir>/<key>.obj],
+    default directory ["_tagsim_cache/obj"]); the functions below
+    delegate to {!Tagsim_store.Store} on it.  Its counters also count
+    the always-on in-process memo: a hit is an object served from
+    either level. *)
 
+val namespace : Tagsim_store.Store.t
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 val dir : unit -> string
 val set_dir : string -> unit
-
-(** {1 Counters}  ([hits], [misses], [writes] — a hit is an object
-    served from either level; a write is a persisted store.) *)
-
 val counters : unit -> int * int * int
 val reset_counters : unit -> unit
+val wipe : unit -> unit
 
 (** {1 Objects} *)
 
@@ -55,8 +56,9 @@ type obj = {
 val def_fingerprint : Tagsim_lisp.Ast.def -> string
 
 (** Does the definition call an arithmetic primitive?  Only those
-    routes reach [Codegen.emit_arith], the sole reader of the
-    generic-arithmetic support flags. *)
+    routes reach [Select.emit_arith] (or [Codegen.emit_arith] in the
+    monolithic backend), the only readers of the generic-arithmetic
+    support flags. *)
 val def_uses_arith : Tagsim_lisp.Ast.def -> bool
 
 (** Token for the support axes the unit's code can depend on.  With
@@ -103,7 +105,3 @@ val find_image :
 (** Drop the in-process memos — per-unit objects and linked images
     (cold-compile benchmarking/tests). *)
 val clear_memo : unit -> unit
-
-(** Delete all persisted objects (and stray temp files) under {!dir};
-    only files this module created are touched. *)
-val wipe : unit -> unit

@@ -14,10 +14,9 @@
     wrong, only warm.
 
     This module holds the plan data type, its (de)serialisation, and a
-    persistent store under [_tagsim_cache/plan/] in the mould of
-    {!Cache}/[Objcache]: content-addressed keys, atomic temp+rename
-    writes, and silent recompute (fall back to online formation) on
-    damaged, truncated or stale entries.
+    persistent store under [_tagsim_cache/plan/], the [plan] namespace
+    of {!Tagsim_store.Store}: a damaged, stale or misplaced entry is a
+    miss (fall back to online formation).
 
     {b Key.} The hex digest of the image fingerprint (a digest of the
     code array: instructions, annotations, speculation flags), a
@@ -29,10 +28,11 @@
     yield wrong bytes — a stale plan is merely a suboptimal warm start,
     but the stamp keeps stored plans aligned with what the current
     engine would have formed.  The stamp participates in the key digest
-    and heads the payload, so entries from either side of a bump are
+    and the store header, so entries from either side of a bump are
     never hit. *)
 
 module Image = Tagsim_asm.Image
+module Store = Tagsim_store.Store
 
 (* Bump on plan-format or trace-formation changes (see header). *)
 let version = "1"
@@ -63,33 +63,27 @@ type t = trace list
 
 let head (tr : trace) = tr.pt_segs.(0).ps_pc
 
-(* --- Store configuration (CLI-owned refs, like Cache/Objcache). --- *)
+(* --- Store configuration (CLI-owned, like Cache/Objcache). --- *)
 
-let enabled_flag = ref false
-let dir_ref = ref (Filename.concat "_tagsim_cache" "plan")
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-let dir () = !dir_ref
-let set_dir d = dir_ref := d
+let namespace =
+  Store.create ~name:"plan" ~ext:"plan" ~version
+    ~dir:(Filename.concat "_tagsim_cache" "plan")
 
-(* hits/misses/writes count whole plan files; [loaded_traces] counts
-   individual superblocks pre-compiled from loaded plans (the number a
-   warm run starts with). *)
-let hit_count = Atomic.make 0
-let miss_count = Atomic.make 0
-let write_count = Atomic.make 0
+let enabled () = Store.enabled namespace
+let set_enabled = Store.set_enabled namespace
+let dir () = Store.dir namespace
+let set_dir = Store.set_dir namespace
+
+(* The store's hits/misses/writes count whole plan files;
+   [loaded_traces] counts individual superblocks pre-compiled from
+   loaded plans (the number a warm run starts with). *)
 let loaded_traces = Atomic.make 0
-
-let counters () =
-  (Atomic.get hit_count, Atomic.get miss_count, Atomic.get write_count)
-
+let counters () = Store.counters namespace
 let traces_loaded () = Atomic.get loaded_traces
 let note_traces_loaded n = ignore (Atomic.fetch_and_add loaded_traces n)
 
 let reset_counters () =
-  Atomic.set hit_count 0;
-  Atomic.set miss_count 0;
-  Atomic.set write_count 0;
+  Store.reset_counters namespace;
   Atomic.set loaded_traces 0
 
 (* --- Keys. --- *)
@@ -106,12 +100,8 @@ let image_fingerprint (image : Image.t) =
     (Digest.string
        (Marshal.to_string image.Image.code [ Marshal.No_sharing ]))
 
-let key ~fingerprint ~token =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" [ "tagsim-plan"; version; fingerprint; token ]))
-
-let entry_path k = Filename.concat !dir_ref (k ^ ".plan")
+let key ~fingerprint ~token = Store.key namespace [ fingerprint; token ]
+let entry_path = Store.path namespace
 
 (* --- (De)serialisation: the same line-oriented text format as the
    other stores — stable across compiler versions, diffable, and
@@ -128,7 +118,6 @@ let jct_token = function
 let serialize (plan : t) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "tagsim-plan %s" version;
   line "traces %d" (List.length plan);
   List.iter
     (fun tr ->
@@ -155,9 +144,6 @@ let parse (text : string) : t =
         l
     | [] -> raise Malformed
   in
-  (match fields (next ()) with
-  | [ "tagsim-plan"; v ] when v = version -> ()
-  | _ -> raise Malformed);
   let n =
     match fields (next ()) with
     | [ "traces"; n ] -> int n
@@ -193,65 +179,6 @@ let parse (text : string) : t =
   if String.trim (next ()) <> "end" then raise Malformed;
   plan
 
-(* --- Store operations (the Cache idiom: every failure is a miss,
-   writes are atomic and best-effort). --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load k =
-  if not !enabled_flag then None
-  else
-    let result =
-      match read_file (entry_path k) with
-      | exception _ -> None
-      | text -> ( match parse text with p -> Some p | exception _ -> None)
-    in
-    (match result with
-    | Some _ -> Atomic.incr hit_count
-    | None -> Atomic.incr miss_count);
-    result
-
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Sys.mkdir p 0o777 with Sys_error _ -> ()
-    end
-  in
-  go path
-
-let store k (plan : t) =
-  if !enabled_flag then
-    try
-      mkdir_p !dir_ref;
-      let tmp =
-        Printf.sprintf "%s.tmp.%d.%d" (entry_path k) (Unix.getpid ())
-          (Domain.self () :> int)
-      in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (serialize plan));
-      Sys.rename tmp (entry_path k);
-      Atomic.incr write_count
-    with _ -> ()
-
-let wipe () =
-  let is_ours name =
-    let pat = ".plan" and n = String.length name in
-    let m = String.length pat in
-    let rec at i = i + m <= n && (String.sub name i m = pat || at (i + 1)) in
-    at 0
-  in
-  match Sys.readdir !dir_ref with
-  | exception Sys_error _ -> ()
-  | names ->
-      Array.iter
-        (fun name ->
-          if is_ours name then
-            try Sys.remove (Filename.concat !dir_ref name) with _ -> ())
-        names
+let load k = Store.load namespace k parse
+let store k (plan : t) = Store.store namespace k serialize plan
+let wipe () = Store.wipe namespace

@@ -3,7 +3,8 @@
     segment path (leader, terminator, junction, expected successor) and
     the exit, with unroll and return-matching decisions already applied
     — plus a content-addressed persistent store under
-    [_tagsim_cache/plan/] in the mould of [Cache]/[Objcache].  A loaded
+    [_tagsim_cache/plan/], the [plan] namespace of
+    {!Tagsim_store.Store}.  A loaded
     plan is re-validated against the live image and pre-compiled on
     attach ({!Trace.precompile}), so a warm process enters the traced
     engine with its superblocks already installed; a damaged, stale or
@@ -12,7 +13,7 @@
 module Image := Tagsim_asm.Image
 
 (** Bump on plan-format or trace-formation changes: participates in the
-    key digest and heads the payload, so entries from either side of a
+    key digest and the store header, so entries from either side of a
     bump are never hit (see the implementation header for the policy
     versus [Cache]/[Objcache]). *)
 val version : string
@@ -38,16 +39,19 @@ type t = trace list
 (** The leader pc of a planned trace ([pt_segs.(0).ps_pc]). *)
 val head : trace -> int
 
-(** {1 Store configuration} — CLI-owned, disabled by default, like the
-    other stores. *)
+(** {1 Store} The [plan] namespace (files [<dir>/<key>.plan], default
+    directory ["_tagsim_cache/plan"]); the functions below delegate to
+    {!Tagsim_store.Store} on it.  Its counters count whole plan files. *)
 
+val namespace : Tagsim_store.Store.t
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 val dir : unit -> string
 val set_dir : string -> unit
-
-(** [(hits, misses, writes)] — whole plan files. *)
 val counters : unit -> int * int * int
+val load : string -> t option
+val store : string -> t -> unit
+val wipe : unit -> unit
 
 (** Individual superblocks pre-compiled from loaded plans (the number a
     warm run starts with). *)
@@ -71,8 +75,9 @@ val key : fingerprint:string -> token:string -> string
 (** On-disk path of a key's entry (for tests). *)
 val entry_path : string -> string
 
-(** {1 (De)serialisation} — line-oriented text with a version header
-    and an ["end"] trailer; {!parse} raises on any damage. *)
+(** {1 (De)serialisation} — line-oriented text with an ["end"]
+    trailer; {!parse} raises on any structural damage (the store's
+    header and payload digest catch the rest). *)
 
 val serialize : t -> string
 
@@ -80,12 +85,3 @@ exception Malformed
 
 val parse : string -> t
 
-(** {1 Store operations} — every failure mode on [load] is a miss;
-    [store] is atomic (temp + rename) and best-effort. *)
-
-val load : string -> t option
-val store : string -> t -> unit
-
-(** Remove every plan entry (and stray temp file) from the store
-    directory; only files this module created are touched. *)
-val wipe : unit -> unit

@@ -99,9 +99,14 @@ let overwrite path text =
   output_string oc text;
   close_out oc
 
+let body_of = Suite_store.body_of
+let write_as = Suite_store.write_as ~name:"cache" ~ext:"entry"
+
+(* A well-framed entry (valid header and digest) whose payload does not
+   parse: the payload's own field checks must reject it. *)
 let test_corrupt_entry () =
   damaged_entry_recomputes "corrupt" (fun path ->
-      overwrite path "tagsim-cache 1\ncycles banana\nend\n")
+      write_as ~version:Cache.version path "cycles banana\nend\n")
 
 let test_truncated_entry () =
   damaged_entry_recomputes "truncated" (fun path ->
@@ -111,35 +116,25 @@ let test_truncated_entry () =
       close_in ic;
       overwrite path text)
 
+(* The same payload, written by a store of another version. *)
 let test_stale_version_entry () =
   damaged_entry_recomputes "stale-version" (fun path ->
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (* A payload whose header names another format version. *)
-      overwrite path
-        ("tagsim-cache v0-something-else"
-        ^ String.sub text (String.index text '\n')
-            (String.length text - String.index text '\n')))
+      write_as ~version:"v0-something-else" path (body_of path))
 
-(* A faithful pre-refactor (version-1) entry — old header, three-int
-   meta line — planted at the current key's path can never satisfy a
-   post-refactor lookup: the header check rejects it before the meta
-   line is even reached. *)
+(* A faithful pre-refactor (version-1) entry — three-int meta line,
+   version 1 in the header — planted at the current key's path can
+   never satisfy a post-refactor lookup: the header check rejects it
+   before the meta line is even reached. *)
 let test_previous_version_entry () =
   damaged_entry_recomputes "previous-version" (fun path ->
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
       let downgrade line =
         match String.split_on_char ' ' line with
-        | "tagsim-cache" :: _ -> "tagsim-cache 1"
         | "meta" :: p :: s :: o :: _ -> String.concat " " [ "meta"; p; s; o ]
         | _ -> line
       in
-      overwrite path
+      write_as ~version:"1" path
         (String.concat "\n"
-           (List.map downgrade (String.split_on_char '\n' text))))
+           (List.map downgrade (String.split_on_char '\n' (body_of path)))))
 
 (* --- the key changes with every configuration axis --- *)
 

@@ -116,6 +116,42 @@ let list_cases =
     case "caddr" "(de main () (caddr '(1 2 3)))" "3";
   ]
 
+(* A predicate called with the wrong number of arguments, in value or
+   in test position, is a compile error worded alike by both backends
+   (the fuzzer's cross-backend oracle compares rejections). *)
+let test_predicate_arity () =
+  List.iter
+    (fun (p, arity) ->
+      List.iter
+        (fun n ->
+          let call =
+            String.concat " " (p :: List.init n (fun _ -> "0"))
+          in
+          List.iter
+            (fun src ->
+              List.iter
+                (fun backend ->
+                  match
+                    P.compile ~backend ~scheme:Scheme.high5
+                      ~support:Support.software src
+                  with
+                  | _ -> Alcotest.failf "%s compiled" src
+                  | exception Tagsim.Codegen.Error msg ->
+                      Alcotest.(check string) src
+                        (Printf.sprintf "%s expects %d arguments" p arity)
+                        msg)
+                [ `Monolithic; `Incremental ])
+            [
+              Printf.sprintf "(de main () (%s))" call;
+              Printf.sprintf "(de main () (if (%s) 1 2))" call;
+            ])
+        (List.filter (( <> ) arity) [ 0; 1; 2; 3 ]))
+    [
+      ("eq", 2); ("null", 1); ("pairp", 1); ("atom", 1); ("symbolp", 1);
+      ("vectorp", 1); ("boxp", 1); ("numberp", 1); ("lessp", 2);
+      ("greaterp", 2); ("leq", 2); ("geq", 2); ("eqn", 2);
+    ]
+
 let predicate_cases =
   [
     case "atom-sym" "(de main () (if (atom 'a) 'yes 'no))" "yes";
@@ -138,6 +174,7 @@ let predicate_cases =
     case "pred-value" "(de main () (pairp '(1)))" "t";
     case "pred-value-nil" "(de main () (pairp 3))" "nil";
     case "numberp-value" "(de main () (numberp 7))" "t";
+    Alcotest.test_case "wrong-arity-rejected" `Quick test_predicate_arity;
   ]
 
 let control_cases =

@@ -177,7 +177,12 @@ let overwrite path text =
   output_string oc text;
   close_out oc
 
-let corrupt path = overwrite path "tagsim-obj 1\nI 0 p frobnicate 1 2\nend\n"
+let write_as = Suite_store.write_as ~name:"obj" ~ext:"obj"
+
+(* A well-framed object (valid header and digest) whose payload does not
+   parse: the object parser's own checks must reject it. *)
+let corrupt path =
+  write_as ~version:Objcache.version path "I 0 p frobnicate 1 2\nend\n"
 
 let truncate path =
   let ic = open_in_bin path in
@@ -186,31 +191,15 @@ let truncate path =
   close_in ic;
   overwrite path text
 
-let stale path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  (* Rewrite the header's version stamp to an impossible one. *)
-  match String.index_opt text '\n' with
-  | None -> Alcotest.fail "empty object file"
-  | Some i ->
-      overwrite path
-        ("tagsim-obj none" ^ String.sub text i (String.length text - i))
+(* The same payload, written by a store of another version. *)
+let restamp version path = write_as ~version path (Suite_store.body_of path)
+
+let stale = restamp "none"
 
 (* The pre-refactor stamp specifically: a version-1 object (from before
    the optimization level joined the key) can never satisfy a lookup
    under the current format. *)
-let stale_v1 path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  match String.index_opt text '\n' with
-  | None -> Alcotest.fail "empty object file"
-  | Some i ->
-      overwrite path
-        ("tagsim-obj 1" ^ String.sub text i (String.length text - i))
+let stale_v1 = restamp "1"
 
 let suite =
   [

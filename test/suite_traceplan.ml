@@ -157,22 +157,23 @@ let damaged_entry_falls_back what damage =
       Alcotest.(check int) (what ^ ": one miss") 1 misses;
       Alcotest.(check int) (what ^ ": rewritten") 1 writes)
 
+let write_as = Suite_store.write_as ~name:"plan" ~ext:"plan"
+
+(* A well-framed entry (valid header and digest) whose payload does not
+   parse: the plan parser's own checks must reject it. *)
 let test_corrupt_entry () =
   damaged_entry_falls_back "corrupt" (fun path ->
-      overwrite path "tagsim-plan 1\ntraces banana\nend\n")
+      write_as ~version:Plan.version path "traces banana\nend\n")
 
 let test_truncated_entry () =
   damaged_entry_falls_back "truncated" (fun path ->
       let text = read_file path in
       overwrite path (String.sub text 0 (String.length text / 2)))
 
+(* The same payload, written by a store of another version. *)
 let test_stale_version_entry () =
   damaged_entry_falls_back "stale-version" (fun path ->
-      let text = read_file path in
-      overwrite path
-        ("tagsim-plan v0-something-else"
-        ^ String.sub text (String.index text '\n')
-            (String.length text - String.index text '\n')))
+      write_as ~version:"v0-something-else" path (Suite_store.body_of path))
 
 (* --- a plan whose segments no longer match the image degrades to
    online formation, never wrong execution --- *)
@@ -181,17 +182,15 @@ let test_mismatched_plan_ignored () =
   with_plans (fun () ->
       let p = compile "inter" in
       let online = run p in
-      let path = Plan.entry_path (Program.plan_key p) in
       (* Well-formed on the wire, but the chain points at pc 1, which is
          no superblock leader of this image: validation must reject it
          and tier 1 re-form the real traces. *)
-      overwrite path
-        "tagsim-plan 1\n\
-         traces 1\n\
-         trace 1 2\n\
-         seg 1 1 1 j\n\
-         seg 1 1 1 j\n\
-         end\n";
+      let seg =
+        { Plan.ps_pc = 1; ps_stop = 1; ps_next = 1;
+          ps_jct = Plan.Jump { link = false } }
+      in
+      Plan.store (Program.plan_key p)
+        [ { Plan.pt_segs = [| seg; seg |]; pt_exit = 1 } ];
       Program.drop_tstate p;
       let before = formed () in
       let recovered = run p in

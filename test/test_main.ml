@@ -6,4 +6,4 @@ let () =
    @ Suite_configs.suite @ Suite_benchmarks.suite @ Suite_engines.suite
    @ Suite_analysis.suite @ Suite_plan.suite @ Suite_cache.suite
    @ Suite_link.suite @ Suite_tir.suite @ Suite_traceplan.suite
-   @ Suite_fuzz.suite)
+   @ Suite_store.suite @ Suite_fuzz.suite)
