@@ -282,15 +282,14 @@ let cache_benchmark () =
     Hashtbl.length seen
   in
   let runs = 3 in
-  (* Both legs also drop the incremental backend's object state (cold
-     additionally wipes its store): the cold leg must pay full
-     compiles, and the warm leg's point is that the measurement store
-     alone — not cached objects — reproduces the plan. *)
+  (* Both legs also drop the incremental backend's object memo: the
+     cold leg must pay full compiles, and the warm leg's point is that
+     the measurement store alone — not memoised objects — reproduces
+     the plan. *)
   let cold_leg () =
     Cache.wipe ();
     Run.clear_cache ();
     Run.reset_frontends ();
-    Tagsim.Objcache.wipe ();
     Tagsim.Objcache.clear_memo ();
     time_plan ()
   in
@@ -332,13 +331,12 @@ let cache_benchmark () =
    Pure compilation (no simulation) of the full Table 2 matrix — the
    low-tag software cell plus every named high5 support row, each with
    and without full checking, for all ten programs — under the
-   monolithic backend versus the incremental one in three states: cold
-   (object memo dropped and store wiped), warm persistent store (memo
-   dropped, objects reloaded from disk), and warm in-process memo (the
-   steady state of a matrix run, where every unit compiles once and
-   every later cell links cached objects).  Front ends are shared, as
-   in the real pipeline, so the legs time the backend alone.  Best of
-   three per leg; recorded in BENCH_compile.json. *)
+   monolithic backend versus the incremental one in two states: cold
+   (object memo dropped) and warm memo (the steady state of a matrix
+   run, where every unit compiles once and every later cell links
+   memoised objects).  Front ends are shared, as in the real pipeline,
+   so the legs time the backend alone.  Best of three per leg; recorded
+   in BENCH_compile.json. *)
 
 module Objcache = Tagsim.Objcache
 
@@ -383,13 +381,6 @@ let compile_benchmark () =
   let inc_cold =
     best_of runs (fun () ->
         Objcache.clear_memo ();
-        Objcache.wipe ();
-        time_leg (fun () -> compile_all `Incremental configs))
-  in
-  (* The last cold leg left the store fully populated. *)
-  let inc_warm_disk =
-    best_of runs (fun () ->
-        Objcache.clear_memo ();
         time_leg (fun () -> compile_all `Incremental configs))
   in
   Objcache.reset_counters ();
@@ -403,7 +394,6 @@ let compile_benchmark () =
      cost is visible (and the optimizer's own cost is isolated). *)
   let instrumented_cold opt =
     Objcache.clear_memo ();
-    Objcache.wipe ();
     Tagsim.Bphase.reset ();
     let total = time_leg (fun () -> compile_all ~opt `Incremental configs) in
     (total, Tagsim.Bphase.totals ())
@@ -413,12 +403,7 @@ let compile_benchmark () =
   Fmt.pr "@.Backend, full Table 2 compile matrix (%d configurations, best \
           of %d):@." n runs;
   Fmt.pr "  monolithic                %8.3f s@." mono;
-  Fmt.pr "  incremental, cold         %8.3f s   (memo dropped, store wiped)@."
-    inc_cold;
-  if Objcache.enabled () then
-    Fmt.pr "  incremental, warm store   %8.3f s   (memo dropped, objects \
-            from disk)@."
-      inc_warm_disk;
+  Fmt.pr "  incremental, cold         %8.3f s   (memo dropped)@." inc_cold;
   Fmt.pr "  incremental, warm memo    %8.3f s   (%.1fx vs monolithic; %d \
           hits, %d misses)@."
     inc_warm (mono /. inc_warm) hits misses;
@@ -437,14 +422,11 @@ let compile_benchmark () =
   out "{\n";
   out "  \"benchmark\": \"backend wall-clock over the full Table 2 compile \
        matrix, monolithic vs incremental (relocatable objects + linker + \
-       content-addressed object cache)\",\n";
+       in-process object memo)\",\n";
   out "  \"configurations\": %d,\n" n;
   out "  \"runs_per_leg\": %d,\n" runs;
-  out "  \"object_store_enabled\": %b,\n" (Objcache.enabled ());
   out "  \"monolithic_seconds_best\": %.3f,\n" mono;
   out "  \"incremental_cold_seconds_best\": %.3f,\n" inc_cold;
-  if Objcache.enabled () then
-    out "  \"incremental_warm_store_seconds_best\": %.3f,\n" inc_warm_disk;
   out "  \"incremental_warm_memo_seconds_best\": %.3f,\n" inc_warm;
   out "  \"warm_memo_hits\": %d,\n" hits;
   out "  \"warm_memo_misses\": %d,\n" misses;
@@ -619,13 +601,11 @@ let () =
         parse rest
     | "--no-cache" :: rest ->
         Cache.set_enabled false;
-        Objcache.set_enabled false;
         Plan.set_enabled false;
         parse rest
     | _ :: rest -> parse rest
   in
   Cache.set_enabled true;
-  Objcache.set_enabled true;
   Plan.set_enabled true;
   parse (List.tl (Array.to_list Sys.argv));
   Tagsim.Analysis.Pool.set_default_jobs !jobs;

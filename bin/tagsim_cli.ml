@@ -124,6 +124,8 @@ let run_program source sizes scheme support opt engine =
   match Tagsim.Program.run_source ~opt ~engine ~sizes ~scheme ~support source with
   | exception Tagsim.Machine.Machine_error msg ->
       Fmt.pr "aborted: machine error: %s@." msg
+  | exception Tagsim.Codegen.Error msg ->
+      Fmt.pr "aborted: compile error: %s@." msg
   | program, result ->
       (match result.Tagsim.Program.abort with
       | Some msg -> Fmt.pr "aborted: %s@." msg
@@ -367,9 +369,8 @@ let fuzz_cmd =
    "cache:" and "simulations:" lines to assert a 100% hit rate. *)
 let print_run_summary () =
   let module Cache = Tagsim.Analysis.Cache in
-  let module Objcache = Tagsim.Objcache in
   let hits, misses, writes = Cache.counters () in
-  let ohits, omisses, owrites = Objcache.counters () in
+  let ohits, omisses, owrites = Tagsim.Objcache.counters () in
   let compile_s, simulate_s, render_s =
     Tagsim.Analysis.Instrument.totals ()
   in
@@ -380,9 +381,8 @@ let print_run_summary () =
     Fmt.epr "cache: %d hits, %d misses, %d writes (dir %s)@." hits misses
       writes (Cache.dir ())
   else Fmt.epr "cache: disabled@.";
-  Fmt.epr "objects: %d hits, %d misses, %d writes%s@." ohits omisses owrites
-    (if Objcache.enabled () then Fmt.str " (dir %s)" (Objcache.dir ())
-     else " (store disabled)");
+  Fmt.epr "objects: %d hits, %d misses, %d writes (in-process)@." ohits
+    omisses owrites;
   Fmt.epr "simulations: %d@." (Tagsim.Analysis.Run.simulations ());
   Fmt.epr "phases: compile %.2fs  simulate %.2fs  render %.2fs@." compile_s
     simulate_s render_s;
@@ -422,13 +422,10 @@ let experiments_cmd =
     Tagsim.Analysis.Pool.set_default_jobs jobs;
     Cache.set_dir cache_dir;
     Cache.set_enabled (not no_cache);
-    (* The object store lives beside the measurement store, under the
-       same directory and kill switch. *)
-    Tagsim.Objcache.set_dir (Filename.concat cache_dir "obj");
-    Tagsim.Objcache.set_enabled (not no_cache);
-    (* So does the trace-plan store, with its own additional kill
-       switch: plans change how fast a measurement is reproduced, never
-       what it measures, so they can be toggled independently. *)
+    (* The trace-plan store lives beside the measurement store, under
+       the same directory and kill switch, plus one of its own: plans
+       change how fast a measurement is reproduced, never what it
+       measures, so they can be toggled independently. *)
     Tagsim.Plan.set_dir (Filename.concat cache_dir "plan");
     Tagsim.Plan.set_enabled ((not no_cache) && not no_plan_cache);
     let want name = only = [] || List.mem name only in
@@ -480,18 +477,21 @@ let experiments_cmd =
       & opt string "_tagsim_cache"
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Directory of the persistent measurement cache (created on \
-             demand; entries are content-addressed and re-run \
-             invariant, so the store can be kept across invocations \
-             and branches).")
+            "Directory of the persistent measurement cache and, under \
+             $(b,plan/), the trace-plan store (created on demand; \
+             entries are content-addressed and re-run invariant, so the \
+             store can be kept across invocations and branches).  \
+             Compiled objects are never written: they are memoised in \
+             the process only.")
   in
   let no_cache =
     Arg.(
       value & flag
       & info [ "no-cache" ]
           ~doc:
-            "Bypass the persistent measurement cache entirely: neither \
-             read nor write the store.")
+            "Bypass the persistent measurement cache and the trace-plan \
+             store entirely: neither read nor write them (the \
+             in-process object memo stays on).")
   in
   let no_plan_cache =
     Arg.(

@@ -25,7 +25,10 @@
     {b Version stamp.} [version] must be bumped on any change that can
     alter a measurement without changing the key's other inputs: code
     generation, runtime assembly, scheme semantics, the cost model, or
-    the {!Stats.t} layout.
+    the {!Stats.t} layout.  It is the only stamp such a change bumps:
+    compiled objects are memoised in-process only (see
+    {!Tagsim_compiler.Objcache}), so no persisted object can outlive
+    the code generator that built it.
 
     {b Robustness.} Entries live in the [cache] namespace of
     {!Tagsim_store.Store}: every damaged, stale or misplaced entry is a

@@ -15,7 +15,8 @@ module Program := Tagsim_compiler.Program
 (** The cache format/semantics stamp.  Bump it whenever code generation,
     the runtime, scheme semantics, the cost model or the [Stats] layout
     change: any of those alters measurements without changing the key's
-    other inputs. *)
+    other inputs.  Objects are not persisted, so this is the only stamp
+    a code-generation change bumps. *)
 val version : string
 
 (** {1 Store} The [cache] namespace (files [<dir>/<key>.entry],

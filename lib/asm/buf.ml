@@ -13,16 +13,10 @@ type slot = {
 
 type item = I of slot | L of string | C of string (* comment, for dumps *)
 
-(* The transform a [Tagged] datum applies to a resolved address, together
-   with the serialisable description it was built from ([ty_code] is a
-   {!Tagsim_tags.Scheme.ty_code}): the object cache stores the code and
-   rebuilds the closure against the object's scheme on reload. *)
-type tagger = { ty_code : int; apply : int -> int }
-
 type datum =
   | Word of int
   | Addr of string (* resolved address of a label *)
-  | Tagged of string * tagger (* address of a label, transformed *)
+  | Tagged of string * (int -> int) (* address of a label, transformed *)
   | Space of int (* n zero words *)
   | Align of int (* align to n bytes *)
 

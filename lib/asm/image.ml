@@ -120,7 +120,7 @@ let of_items (items : Buf.item list)
         match v with
         | `Word w -> w
         | `Addr l -> resolve_any l
-        | `Tagged (l, t) -> t.Buf.apply (resolve_any l)
+        | `Tagged (l, t) -> t (resolve_any l)
       in
       data_words.(a / 4) <- w land Tagsim_mipsx.Word.mask)
     !layout;

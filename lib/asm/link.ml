@@ -14,7 +14,7 @@
     - {b locals}: compiler-generated fresh labels ([prefix$N], e.g.
       branch targets, quoted-constant cells, squash retargets).  Their
       names are only unique within the unit, so the producer must
-      {!rename} them behind a fragment-unique prefix — the object cache
+      {!rename} them behind a fragment-unique prefix — the object memo
       uses the object's content key, making the renaming stable — before
       fragments meet in a {!link};
     - {b exports}: named labels ([f$main], [rt$gc], [lay$heap_a],

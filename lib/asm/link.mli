@@ -30,7 +30,7 @@ val externals : fragment -> string list
 (** Rename the fragment's locals to ["<prefix>$<local>"] (definitions
     and references alike); exports and externals pass through.  Locals
     of renamed fragments are unique across a link whenever their
-    prefixes are — the object cache prefixes with the object's content
+    prefixes are — the object memo prefixes with the object's content
     key — and the renamed names keep the generated-label shape. *)
 val rename : prefix:string -> fragment -> fragment
 

@@ -169,13 +169,8 @@ let encode_const_int f n =
   Scheme.encode_int s n
 
 (* The tagged-datum transform for a pointer of type [ty] under the
-   function's scheme, with the serialisable type code the object cache
-   needs to rebuild it on reload. *)
-let tagger f ty =
-  {
-    Buf.ty_code = Scheme.ty_code ty;
-    apply = (fun a -> Scheme.encode_ptr (scheme f) ty a);
-  }
+   function's scheme. *)
+let tagger f ty a = Scheme.encode_ptr (scheme f) ty a
 
 (* Emit a quoted structure into static data; returns the item, either as a
    compile-time constant or as a data label to load through. *)

@@ -1,36 +1,29 @@
-(** Two-level content-addressed object cache for the incremental
+(** The content-keyed, in-process object memo of the incremental
     backend.
 
     A compilation unit (one Lisp function, the runtime routine group,
     the startup stub) compiles to a relocatable object: its scheduled
     {!Tagsim_asm.Link.fragment} plus the names it interned into the
-    symbol table.  Objects are memoised in-process (always on) and,
-    when {!enabled}, persisted in the [obj] namespace of
-    {!Tagsim_store.Store} — keyed by a digest of the unit's content, its
-    symbol-table environment, the tag scheme, the (projected) support
-    configuration, the scheduler configuration and the format
-    {!version}.  See the implementation header for the full key. *)
+    symbol table.  Objects and linked images are memoised in-process
+    only, keyed by a digest of the unit's content, its symbol-table
+    environment, the tag scheme, the (projected) support configuration,
+    the scheduler configuration and the optimization level.  They are
+    not persisted: writing one file per object cost a cold run about
+    three times its compile time, and reading them back was no faster
+    than recompiling.  See the implementation header for the full key. *)
 
-(** Format/semantics stamp baked into every key and entry header.  Bump
-    on any change to emitted code (code generation, runtime emission,
-    scheduling, ISA) or to the object format itself; code-changing
-    bumps pair with a [Cache.version] bump, format-only bumps do not. *)
-val version : string
-
-(** {1 Store} The L2 is the [obj] namespace (files [<dir>/<key>.obj],
-    default directory ["_tagsim_cache/obj"]); the functions below
-    delegate to {!Tagsim_store.Store} on it.  Its counters also count
-    the always-on in-process memo: a hit is an object served from
-    either level. *)
-
-val namespace : Tagsim_store.Store.t
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-val dir : unit -> string
-val set_dir : string -> unit
+(** [(hits, misses, writes)] of the unit memo since start or
+    {!reset_counters}: units served from the memo, units built, and
+    always 0 writes. *)
 val counters : unit -> int * int * int
+
 val reset_counters : unit -> unit
-val wipe : unit -> unit
+
+(** No-ops, kept only for tagbench/, which still calls them; the next
+    benchmark change removes them. *)
+val set_dir : string -> unit
+
+val set_enabled : bool -> unit
 
 (** {1 Objects} *)
 
@@ -91,14 +84,13 @@ val key :
 
 (** {1 Lookup} *)
 
-(** Look the key up (memo, then disk when enabled); on a miss run
-    [build], memoise and persist its result.  [scheme] rebuilds the
-    encode closures of [Tagged] data loaded from disk. *)
-val find_or_build : scheme:Tagsim_tags.Scheme.t -> key:string -> build:(unit -> obj) -> obj
+(** Look the key up in the memo; on a miss run [build], rename its
+    local labels behind the key and memoise the result. *)
+val find_or_build : key:string -> build:(unit -> obj) -> obj
 
 (** Memoise a linked image under the ordered unit-key list of its
-    fragments (in-process only): a linked image is a pure function of
-    its unit keys, so a repeated configuration skips even the link. *)
+    fragments: a linked image is a pure function of its unit keys, so a
+    repeated configuration skips even the link. *)
 val find_image :
   keys:string list -> build:(unit -> Tagsim_asm.Image.t) -> Tagsim_asm.Image.t
 

@@ -222,8 +222,7 @@ let backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained =
    references.  Units come from the content-addressed {!Objcache}
    whenever an identical unit (same content, symbol-table environment,
    scheme, projected support, scheduler config, optimization level) was
-   compiled before — in this process or, with the persistent store
-   enabled, by an earlier one.  Cache hits skip compilation and
+   compiled before in this process.  Memo hits skip compilation and
    scheduling entirely; only the cheap link pass remains.
 
    Function units run the staged pipeline — {!Lower} (AST -> TIR),
@@ -260,7 +259,7 @@ let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
     let k =
       Objcache.key ~kind ~fingerprint ~env ~scheme ~support_token ~sched ~opt
     in
-    let o = Objcache.find_or_build ~scheme ~key:k ~build:(fun () -> build_unit emit) in
+    let o = Objcache.find_or_build ~key:k ~build:(fun () -> build_unit emit) in
     List.iter (fun s -> ignore (Symtab.intern symtab s)) o.Objcache.o_interned;
     (k, o)
   in

@@ -76,11 +76,7 @@ let encode_const_int f n =
     errorf "integer literal %d out of range for scheme %s" n s.Scheme.name;
   Scheme.encode_int s n
 
-let tagger f ty =
-  {
-    Buf.ty_code = Scheme.ty_code ty;
-    apply = (fun a -> Scheme.encode_ptr (scheme f) ty a);
-  }
+let tagger f ty a = Scheme.encode_ptr (scheme f) ty a
 
 let rec const_value f (c : Ast.const) :
     [ `Word of int | `Ref of string * Scheme.ty ] =

@@ -24,8 +24,8 @@
 
     {b Version stamp.} Bump on any change to the plan format {e or} to
     trace formation semantics (growth heuristics, unroll policy, return
-    matching): unlike [Cache]/[Objcache] — whose stale entries would
-    yield wrong bytes — a stale plan is merely a suboptimal warm start,
+    matching): unlike [Cache] — whose stale entries would yield wrong
+    numbers — a stale plan is merely a suboptimal warm start,
     but the stamp keeps stored plans aligned with what the current
     engine would have formed.  The stamp participates in the key digest
     and the store header, so entries from either side of a bump are
@@ -63,7 +63,7 @@ type t = trace list
 
 let head (tr : trace) = tr.pt_segs.(0).ps_pc
 
-(* --- Store configuration (CLI-owned, like Cache/Objcache). --- *)
+(* --- Store configuration (CLI-owned, like Cache). --- *)
 
 let namespace =
   Store.create ~name:"plan" ~ext:"plan" ~version
@@ -93,7 +93,7 @@ let reset_counters () =
    content fingerprint; the version stamp guards representation drift.
    [No_sharing] matters: the default marshaller encodes in-memory
    sharing, so structurally equal images — one compiled cold, one
-   relinked from cached objects — would fingerprint differently, and a
+   relinked from memoised objects — would fingerprint differently, and a
    warm process would never find the plans a cold one flushed. *)
 let image_fingerprint (image : Image.t) =
   Digest.to_hex
@@ -104,7 +104,7 @@ let key ~fingerprint ~token = Store.key namespace [ fingerprint; token ]
 let entry_path = Store.path namespace
 
 (* --- (De)serialisation: the same line-oriented text format as the
-   other stores — stable across compiler versions, diffable, and
+   measurement store — stable across compiler versions, diffable, and
    truncation-detectable via the ["end"] trailer. --- *)
 
 let jct_token = function

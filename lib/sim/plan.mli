@@ -15,7 +15,7 @@ module Image := Tagsim_asm.Image
 (** Bump on plan-format or trace-formation changes: participates in the
     key digest and the store header, so entries from either side of a
     bump are never hit (see the implementation header for the policy
-    versus [Cache]/[Objcache]). *)
+    versus [Cache]). *)
 val version : string
 
 (** How a planned segment ends, and which successor the path expects.
@@ -65,7 +65,7 @@ val reset_counters : unit -> unit
 (** Content fingerprint of an image's code array (instructions,
     annotations, speculation flags).  Sharing-insensitive: structurally
     equal images fingerprint identically however they were built (cold
-    compile or relink from cached objects). *)
+    compile or relink from memoised objects). *)
 val image_fingerprint : Image.t -> string
 
 (** Store key: digest of the image fingerprint, a caller-supplied

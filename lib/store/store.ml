@@ -21,8 +21,6 @@ let set_enabled t b = t.enabled <- b
 let dir t = t.dir
 let set_dir t d = t.dir <- d
 let counters t = (Atomic.get t.hits, Atomic.get t.misses, Atomic.get t.writes)
-let count_hit t = Atomic.incr t.hits
-let count_miss t = Atomic.incr t.misses
 
 let reset_counters t =
   List.iter (fun c -> Atomic.set c 0) [ t.hits; t.misses; t.writes ]

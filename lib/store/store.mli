@@ -1,5 +1,7 @@
-(** The content-addressed on-disk store behind the measurement cache,
-    the object cache and the trace-plan store.
+(** The content-addressed on-disk store behind the measurement cache
+    and the trace-plan store.  (Compiled objects are memoised
+    in-process only: one file per object made a cold run slower than
+    recompiling; see [Objcache].)
 
     A namespace maps hex keys to bytes, one file [<dir>/<key>.<ext>]
     per key, starting with the header line
@@ -38,11 +40,6 @@ val load : t -> string -> (string -> 'a) -> 'a option
 (** Write [serialize v] as the key's entry and count a write; no-op
     when disabled. *)
 val store : t -> string -> ('a -> string) -> 'a -> unit
-
-(** Count a hit or a miss of an in-process memo in front of the store. *)
-val count_hit : t -> unit
-
-val count_miss : t -> unit
 
 (** [(hits, misses, writes)] since start or {!reset_counters}. *)
 val counters : t -> int * int * int

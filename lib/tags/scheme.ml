@@ -34,18 +34,6 @@ let ty_name = function
   | Vector -> "vector"
   | Boxnum -> "boxnum"
 
-(* Dense codes, stable across runs: the relocatable-object format stores
-   them to rebuild tagged-datum closures on reload. *)
-let ty_code = function Int -> 0 | Pair -> 1 | Symbol -> 2 | Vector -> 3 | Boxnum -> 4
-
-let ty_of_code = function
-  | 0 -> Int
-  | 1 -> Pair
-  | 2 -> Symbol
-  | 3 -> Vector
-  | 4 -> Boxnum
-  | n -> invalid_arg (Printf.sprintf "Scheme.ty_of_code: %d" n)
-
 type layout = High5 | High6 | Low2 | Low3
 
 (* Header subtypes for objects behind the Low2 escape tag (and present,

@@ -8,13 +8,6 @@ type ty = Int | Pair | Symbol | Vector | Boxnum
 
 val ty_name : ty -> string
 
-(** Dense, stable codes for {!ty} (and back), used by the
-    relocatable-object serialisation format. *)
-val ty_code : ty -> int
-
-(** Raises [Invalid_argument] on an unknown code. *)
-val ty_of_code : int -> ty
-
 type layout = High5 | High6 | Low2 | Low3
 
 (** Header subtypes for objects behind the Low2 escape tag (present in

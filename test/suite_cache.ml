@@ -8,6 +8,9 @@ module B = Tagsim.Benchmarks
 module Run = Tagsim.Analysis.Run
 module Cache = Tagsim.Analysis.Cache
 module Program = Tagsim.Program
+module Planner = Tagsim.Analysis.Planner
+module Objcache = Tagsim.Objcache
+module Plan = Tagsim.Plan
 module Stats = Tagsim.Stats
 module Scheme = Tagsim.Scheme
 module Support = Tagsim.Support
@@ -174,6 +177,58 @@ let test_no_cache_bypass () =
       Alcotest.(check bool) "no entry written" false
         (Sys.file_exists (Cache.entry_path (Run.cache_key c))))
 
+(* --- a cold fan-out writes measurements and plans, never objects --- *)
+
+(* Compiled objects are memoised in-process only: a cold table3 fan-out
+   with both stores on leaves [*.entry] files and [plan/*.plan] behind,
+   nothing else.  The memo's counters pin its sharing: 18 units served
+   from it and 156 built, as many as the on-disk object store it
+   replaced counted over the same fan-out.  Every store switch is
+   thrown the way tagbench throws it, the object ones included. *)
+let test_cold_fanout_writes_no_objects () =
+  let root = Filename.temp_dir "tagsim_fanout_test" "" in
+  let plan_dir = Filename.concat root "plan" in
+  Cache.set_dir root;
+  Objcache.set_dir (Filename.concat root "obj");
+  Objcache.set_enabled true;
+  Plan.set_dir plan_dir;
+  Cache.set_enabled true;
+  Plan.set_enabled true;
+  Cache.reset_counters ();
+  Run.clear_cache ();
+  Objcache.clear_memo ();
+  Objcache.reset_counters ();
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.set_enabled false;
+      Plan.set_enabled false;
+      Cache.set_dir "_tagsim_cache";
+      Plan.set_dir (Filename.concat "_tagsim_cache" "plan");
+      Run.clear_cache ();
+      Objcache.clear_memo ();
+      Suite_store.rm_rf root)
+    (fun () ->
+      ignore (Planner.plan ~jobs:1 [ Option.get (Planner.find "table3") ]);
+      Alcotest.(check (triple int int int)) "objects: hits, builds, writes"
+        (18, 156, 0) (Objcache.counters ());
+      Alcotest.(check (triple int int int)) "measurements: cold" (0, 10, 10)
+        (Cache.counters ());
+      let names dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let entries, others =
+        List.partition (fun n -> Filename.check_suffix n ".entry") (names root)
+      in
+      Alcotest.(check int) "one entry per configuration" 10
+        (List.length entries);
+      Alcotest.(check (list string)) "nothing but entries and plan/"
+        [ "plan" ] others;
+      let plans = names plan_dir in
+      Alcotest.(check bool) "plans flushed" true (plans <> []);
+      List.iter
+        (fun n ->
+          if not (Filename.check_suffix n ".plan") then
+            Alcotest.failf "unexpected file plan/%s" n)
+        plans)
+
 (* --- the staged front end compiles to the same program --- *)
 
 let test_staged_pipeline () =
@@ -216,6 +271,8 @@ let suite =
           test_previous_version_entry;
         Alcotest.test_case "key-sensitivity" `Quick test_key_sensitivity;
         Alcotest.test_case "no-cache-bypass" `Quick test_no_cache_bypass;
+        Alcotest.test_case "cold-fanout-writes-no-objects" `Quick
+          test_cold_fanout_writes_no_objects;
         Alcotest.test_case "staged-pipeline" `Quick test_staged_pipeline;
       ] );
   ]

@@ -1,6 +1,6 @@
 (* Fault injection on the content-addressed store, on one real file from
-   each namespace: a measurement entry, an object and a trace plan, all
-   produced by one cold run of inter.  Every fault must be a miss, never
+   each namespace: a measurement entry and a trace plan, both produced
+   by one cold run of inter.  Every fault must be a miss, never
    a hit with other bytes: truncation at every offset, every single-bit
    flip, a temp file a killed writer left behind, a read-only directory,
    two domains racing on one key, and a file copied under another key's
@@ -10,7 +10,6 @@
 module B = Tagsim.Benchmarks
 module Run = Tagsim.Analysis.Run
 module Cache = Tagsim.Analysis.Cache
-module Objcache = Tagsim.Objcache
 module Plan = Tagsim.Plan
 module Store = Tagsim.Store
 module Scheme = Tagsim.Scheme
@@ -50,27 +49,23 @@ let config () =
 (* One real file of a namespace. *)
 type sample = { label : string; ns : Store.t; path : string }
 
-(* Point all three stores at a fresh directory, run inter cold once, and
-   hand [f] the measurement entry, the smallest object and the plan;
-   restore the library defaults afterwards. *)
+(* Point both stores at a fresh directory, run inter cold once, and
+   hand [f] the measurement entry and the smallest plan; restore the
+   library defaults afterwards. *)
 let with_samples f =
   let root = Filename.temp_dir "tagsim_store_test" "" in
   Cache.set_dir root;
-  Objcache.set_dir (Filename.concat root "obj");
   Plan.set_dir (Filename.concat root "plan");
   List.iter (fun ns -> Store.set_enabled ns true)
-    [ Cache.namespace; Objcache.namespace; Plan.namespace ];
+    [ Cache.namespace; Plan.namespace ];
   Run.clear_cache ();
-  Objcache.clear_memo ();
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun ns -> Store.set_enabled ns false)
-        [ Cache.namespace; Objcache.namespace; Plan.namespace ];
+        [ Cache.namespace; Plan.namespace ];
       Cache.set_dir "_tagsim_cache";
-      Objcache.set_dir (Filename.concat "_tagsim_cache" "obj");
       Plan.set_dir (Filename.concat "_tagsim_cache" "plan");
       Run.clear_cache ();
-      Objcache.clear_memo ();
       rm_rf root)
     (fun () ->
       let c = config () in
@@ -87,8 +82,6 @@ let with_samples f =
         [
           { label = "entry"; ns = Cache.namespace;
             path = Cache.entry_path (Run.cache_key c) };
-          { label = "obj"; ns = Objcache.namespace;
-            path = smallest ".obj" (Objcache.dir ()) };
           { label = "plan"; ns = Plan.namespace;
             path = smallest ".plan" (Plan.dir ()) };
         ])
