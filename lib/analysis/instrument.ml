@@ -55,5 +55,4 @@ let reset () =
       simulate_s := 0.0;
       render_s := 0.0);
   Tagsim_compiler.Bphase.reset ();
-  Tagsim_sim.Machine.reset_trace_counters ();
-  Tagsim_sim.Plan.reset_counters ()
+  Tagsim_sim.Machine.reset_trace_counters ()

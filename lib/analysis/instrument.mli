@@ -26,6 +26,6 @@ val backend_totals : unit -> Tagsim_compiler.Bphase.totals
     {!Tagsim_sim.Machine.trace_counters}. *)
 val trace_totals : unit -> Tagsim_sim.Machine.trace_totals
 
-(** Clears the pipeline totals, the backend breakdown, the trace
-    counters and the plan-store counters. *)
+(** Clears the pipeline totals, the backend breakdown and the trace
+    counters. *)
 val reset : unit -> unit

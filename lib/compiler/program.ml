@@ -16,7 +16,6 @@ module Machine = Tagsim_sim.Machine
 module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
-module Plan = Tagsim_sim.Plan
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
 module Support = Tagsim_tags.Support
@@ -126,9 +125,6 @@ type t = {
       (* the traced engine's heat/edge profile and formed traces,
          likewise shared across machines so traces learned by one run
          serve the next *)
-  mutable plan_key_cache : string option;
-      (* memoised persistent plan-store key (digesting the code array
-         is not free; the key is fixed per program) *)
 }
 
 let count_lines src =
@@ -366,7 +362,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     exec_cache = [||];
     blocks_cache = [||];
     tstate_cache = None;
-    plan_key_cache = None;
   }
 
 let compile ?backend ?opt ?sched ?sizes ?mem_bytes ~scheme ~support source : t =
@@ -457,20 +452,8 @@ let abort_message code =
   else if code = Machine.err_div0 then "division by zero"
   else Printf.sprintf "abort %d" code
 
-(* The plan-store key: the image fingerprint already separates every
-   code-affecting axis (program, scheme, support, sched, opt); the
-   scheme/memory token additionally pins the hardware the traces were
-   grown for.  Memoised — the fingerprint digests the code array. *)
-let plan_key t =
-  match t.plan_key_cache with
-  | Some k -> k
-  | None ->
-      let token = Printf.sprintf "%s/%d" t.scheme.Scheme.name t.mem_bytes in
-      let k = Plan.key ~fingerprint:(Plan.image_fingerprint t.image) ~token in
-      t.plan_key_cache <- Some k;
-      k
-
-let drop_tstate t = t.tstate_cache <- None
+(* The retired plan store's key, as a constant for tagbench/. *)
+let plan_key (_ : t) = ""
 
 let load ?fuel ?(engine = `Traced) t =
   let hw = Scheme.machine_hw ~mem_bytes:t.mem_bytes t.scheme in
@@ -500,22 +483,11 @@ let load ?fuel ?(engine = `Traced) t =
         m.Machine.exec <- t.exec_cache;
       if Array.length t.blocks_cache = code_len then
         m.Machine.blocks <- t.blocks_cache;
-      let fresh =
-        match t.tstate_cache with
-        | Some ts when Array.length ts.Machine.ts_traces = code_len ->
-            m.Machine.tstate <- Some ts;
-            false
-        | _ -> true
-      in
+      (match t.tstate_cache with
+      | Some ts when Array.length ts.Machine.ts_traces = code_len ->
+          m.Machine.tstate <- Some ts
+      | _ -> ());
       Trace.attach m;
-      (* Ahead-of-time warm start: a freshly attached tstate picks up
-         every persisted superblock that still validates, so the run
-         needs no tier-1 profiling on the planned heads.  A shared
-         (non-fresh) tstate already carries its traces. *)
-      if fresh && Plan.enabled () then (
-        match Plan.load (plan_key t) with
-        | Some plan -> ignore (Trace.precompile m plan)
-        | None -> ());
       t.exec_cache <- m.Machine.exec;
       t.blocks_cache <- m.Machine.blocks;
       t.tstate_cache <- m.Machine.tstate);
@@ -540,14 +512,6 @@ let load ?fuel ?(engine = `Traced) t =
 let run ?fuel ?engine t : result =
   let m, map = load ?fuel ?engine t in
   let outcome = Machine.run m in
-  (* Flush newly formed trace plans: when this run's online formation
-     added anything, rewrite the full plan (pre-loaded + formed) so the
-     next cold process warm-starts with everything known so far. *)
-  (match m.Machine.tstate with
-  | Some ts when ts.Machine.ts_dirty && Plan.enabled () ->
-      Plan.store (plan_key t) (List.rev ts.Machine.ts_plans);
-      ts.Machine.ts_dirty <- false
-  | _ -> ());
   let peek_lbl lbl = Machine.peek m (Image.data_address t.image lbl) in
   let value, abort =
     match outcome with

@@ -37,9 +37,6 @@ type t = {
   mutable exec_cache : Machine.exec_fn array;
   mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
-  mutable plan_key_cache : string option;
-      (* memoised persistent plan-store key (digesting the code array
-         is not free; the key is fixed per program) *)
 }
 
 (** {1 Staged pipeline}
@@ -131,32 +128,19 @@ type result = {
 
 val abort_message : int -> string
 
-(** The persistent plan-store key of this program's image
-    ({!Tagsim_sim.Plan.key} over the image fingerprint and a
-    scheme/memory token); memoised per program. *)
+(** A no-op constant ([""]), kept only for tagbench/, which still calls
+    it; the next benchmark change removes it. *)
 val plan_key : t -> string
-
-(** Drop the shared traced-engine state (heat, edge profile, formed
-    traces), so the next [load] attaches a cold tstate — and, when the
-    plan store is enabled, warm-starts it from the persisted plan.
-    Benchmarks and the warm-start tests use this to separate
-    cold-profile from warm-plan runs; the predecode/fuse caches are
-    kept (they carry no profile). *)
-val drop_tstate : t -> unit
 
 (** Create a machine, poke the memory-map words and register the trap
     handlers; ready to run from address 0.  [engine] selects the
     simulator engine (default [`Traced], the fast path; all engines
-    produce bit-identical statistics).  Under [`Traced], a freshly
-    attached tstate is warm-started from the persistent plan store when
-    {!Tagsim_sim.Plan.enabled}: every stored superblock that still
-    validates is pre-compiled, so the run starts with zero tier-1
-    profiling on the planned heads. *)
+    produce bit-identical statistics).  Under [`Traced], every machine
+    of a program shares one trace-engine state, so traces formed by one
+    run serve the next in the same process; they are never persisted. *)
 val load : ?fuel:int -> ?engine:Machine.engine -> t -> Machine.t * L.map
 
-(** [run] is [load] + [Machine.run] + result decoding.  At run end,
-    newly formed trace plans are flushed back to the plan store (the
-    full plan is rewritten; a fully warm run flushes nothing). *)
+(** [run] is [load] + [Machine.run] + result decoding. *)
 val run : ?fuel:int -> ?engine:Machine.engine -> t -> result
 
 (** Compile and run in one step. *)

@@ -137,10 +137,8 @@ and block = {
    design: a torn or stale read can only delay or re-run formation,
    never corrupt execution — traces are validated like block memos.
    [ts_plans] mirrors [ts_traces] as pure data: one [Plan.trace] per
-   installed trace (pre-compiled from the persistent plan store or
-   recorded by online formation), so the run's discoveries can be
-   flushed back to disk at run end; [ts_dirty] is set only by online
-   formation, so a fully warm run flushes nothing. *)
+   formed trace.  [ts_dirty] is never set: it stays only for tagbench/,
+   which still reads it. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;

@@ -115,10 +115,9 @@ and block = {
     profile is needed, resetting the counter to retry).  Shareable
     between machines running the same image; racy profile updates only
     delay or repeat formation, never corrupt execution.  [ts_plans]
-    mirrors [ts_traces] as pure data (one {!Plan.trace} per installed
-    trace, newest first) so the run's discoveries can be flushed to the
-    persistent plan store at run end; [ts_dirty] is set only by online
-    formation, so a fully warm run flushes nothing. *)
+    mirrors [ts_traces] as pure data (one {!Plan.trace} per formed
+    trace, newest first).  [ts_dirty] is never set: it stays only for
+    tagbench/, which still reads it. *)
 and tstate = {
   ts_traces : trace option array;
   ts_heat : int array;

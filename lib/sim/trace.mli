@@ -9,10 +9,13 @@
     cross-junction delay-slot interlocks and squashing-branch annul
     accounting statically resolved, never-trapping operations
     specialised with their operators inlined — and guarded side exits
-    that roll statistics and fuel back to the exact per-block values.  [Machine.run] on a [`Traced] machine dispatches
-    once per trace on hot paths and stays bit-identical to the
-    reference interpreter, [Out_of_fuel] tail included (enforced by the
-    four-way engine differential suite). *)
+    that roll statistics and fuel back to the exact per-block values.
+    [Machine.run] on a [`Traced] machine dispatches once per trace on
+    hot paths and stays bit-identical to the reference interpreter,
+    [Out_of_fuel] tail included (enforced by the four-way engine
+    differential suite).  Each formed trace is also recorded as a pure
+    data {!Plan.trace} in [Machine.ts_plans]; traces are formed online
+    in every process and never persisted. *)
 
 module Image := Tagsim_asm.Image
 
@@ -32,26 +35,6 @@ val max_segments : int
     validated like block memos, and racy profile updates only delay or
     repeat formation. *)
 val attach : ?threshold:int -> Machine.t -> unit
-
-(** Compile one planned superblock into a trace closure, or [None] when
-    the plan does not validate against this machine's image (bounds,
-    junction shapes, successor chaining — see the implementation).  A
-    validated plan compiles through the same path as online formation:
-    {!form} itself projects each grown superblock to a {!Plan.trace}
-    and compiles the plan, so ahead-of-time and online traces are the
-    same closures over the same data, and the persisted format provably
-    captures every formation decision. *)
-val compile_plan : Machine.t -> Plan.trace -> Machine.trace option
-
-(** Ahead-of-time warm start: install every superblock of a persisted
-    plan that still validates on this machine's image, so the run
-    enters the traced engine with its hot paths already compiled — no
-    tier-1 profiling for the planned heads.  Returns the number
-    installed (also accumulated into {!Plan.traces_loaded}); rejected
-    entries are skipped silently, leaving online formation as the
-    fallback.  Newly formed traces during the run still extend
-    [ts_plans], so a run-end flush persists the union. *)
-val precompile : Machine.t -> Plan.t -> int
 
 (** Convenience: [Machine.create ~engine:`Traced] plus {!attach}. *)
 val create : ?fuel:int -> ?threshold:int -> hw:Machine.hw -> Image.t -> Machine.t

@@ -1,7 +1,8 @@
-(** The content-addressed on-disk store behind the measurement cache
-    and the trace-plan store.  (Compiled objects are memoised
-    in-process only: one file per object made a cold run slower than
-    recompiling; see [Objcache].)
+(** The content-addressed on-disk store behind the measurement cache.
+    (Compiled objects and trace plans live in the process only: one
+    file per object made a cold run slower than recompiling, and
+    persisted plans bought no measurable end-to-end time; see
+    [Objcache] and [Plan].)
 
     A namespace maps hex keys to bytes, one file [<dir>/<key>.<ext>]
     per key, starting with the header line

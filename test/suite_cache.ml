@@ -177,21 +177,21 @@ let test_no_cache_bypass () =
       Alcotest.(check bool) "no entry written" false
         (Sys.file_exists (Cache.entry_path (Run.cache_key c))))
 
-(* --- a cold fan-out writes measurements and plans, never objects --- *)
+(* --- a cold fan-out writes measurements, nothing else --- *)
 
-(* Compiled objects are memoised in-process only: a cold table3 fan-out
-   with both stores on leaves [*.entry] files and [plan/*.plan] behind,
-   nothing else.  The memo's counters pin its sharing: 18 units served
-   from it and 156 built, as many as the on-disk object store it
+(* Compiled objects and trace plans live in the process only: a cold
+   table3 fan-out with the measurement store on leaves one [*.entry]
+   file per configuration behind and nothing else — no [obj/], no
+   [plan/], no temp file.  The memo's counters pin its sharing: 18 units
+   served from it and 156 built, as many as the on-disk object store it
    replaced counted over the same fan-out.  Every store switch is
-   thrown the way tagbench throws it, the object ones included. *)
-let test_cold_fanout_writes_no_objects () =
+   thrown the way tagbench throws it, the retired ones included. *)
+let test_cold_fanout_writes_only_entries () =
   let root = Filename.temp_dir "tagsim_fanout_test" "" in
-  let plan_dir = Filename.concat root "plan" in
   Cache.set_dir root;
   Objcache.set_dir (Filename.concat root "obj");
   Objcache.set_enabled true;
-  Plan.set_dir plan_dir;
+  Plan.set_dir (Filename.concat root "plan");
   Cache.set_enabled true;
   Plan.set_enabled true;
   Cache.reset_counters ();
@@ -201,9 +201,7 @@ let test_cold_fanout_writes_no_objects () =
   Fun.protect
     ~finally:(fun () ->
       Cache.set_enabled false;
-      Plan.set_enabled false;
       Cache.set_dir "_tagsim_cache";
-      Plan.set_dir (Filename.concat "_tagsim_cache" "plan");
       Run.clear_cache ();
       Objcache.clear_memo ();
       Suite_store.rm_rf root)
@@ -219,15 +217,7 @@ let test_cold_fanout_writes_no_objects () =
       in
       Alcotest.(check int) "one entry per configuration" 10
         (List.length entries);
-      Alcotest.(check (list string)) "nothing but entries and plan/"
-        [ "plan" ] others;
-      let plans = names plan_dir in
-      Alcotest.(check bool) "plans flushed" true (plans <> []);
-      List.iter
-        (fun n ->
-          if not (Filename.check_suffix n ".plan") then
-            Alcotest.failf "unexpected file plan/%s" n)
-        plans)
+      Alcotest.(check (list string)) "nothing but entries" [] others)
 
 (* --- the staged front end compiles to the same program --- *)
 
@@ -271,8 +261,8 @@ let suite =
           test_previous_version_entry;
         Alcotest.test_case "key-sensitivity" `Quick test_key_sensitivity;
         Alcotest.test_case "no-cache-bypass" `Quick test_no_cache_bypass;
-        Alcotest.test_case "cold-fanout-writes-no-objects" `Quick
-          test_cold_fanout_writes_no_objects;
+        Alcotest.test_case "cold-fanout-writes-only-entries" `Quick
+          test_cold_fanout_writes_only_entries;
         Alcotest.test_case "staged-pipeline" `Quick test_staged_pipeline;
       ] );
   ]

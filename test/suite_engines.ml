@@ -588,6 +588,39 @@ let test_trace_attach_idempotent () =
   Alcotest.(check bool) "fused blocks attached too" true
     (Array.length m.Machine.blocks > 0)
 
+(* Trace formation is a function of the image alone: two fresh compiles
+   of one program, each run traced once, form the same traces in the
+   same order — structurally equal [ts_plans] and the same number
+   formed.  Nothing carries traces between the two copies, since every
+   program's trace state starts empty. *)
+let test_formation_determinism () =
+  let support = Support.with_checking Support.software in
+  List.iter
+    (fun name ->
+      let entry = B.find name in
+      let formed_by () =
+        let program =
+          P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
+        in
+        let before = (Machine.trace_counters ()).Machine.tt_formed in
+        let r = P.run ~engine:`Traced program in
+        Alcotest.(check (option string)) (name ^ ": no abort") None r.P.abort;
+        let plans =
+          match program.P.tstate_cache with
+          | Some ts -> ts.Machine.ts_plans
+          | None -> Alcotest.failf "%s: no trace state" name
+        in
+        (plans, (Machine.trace_counters ()).Machine.tt_formed - before)
+      in
+      let plans1, formed1 = formed_by () in
+      let plans2, formed2 = formed_by () in
+      Alcotest.(check bool) (name ^ ": traces formed") true (plans1 <> []);
+      Alcotest.(check int) (name ^ ": one plan per formed trace") formed1
+        (List.length plans1);
+      Alcotest.(check int) (name ^ ": formed count") formed1 formed2;
+      Alcotest.(check bool) (name ^ ": plans equal") true (plans1 = plans2))
+    [ "inter"; "boyer" ]
+
 (* The memoised matrix driver must return the same measurements, in the
    same order, for any worker count. *)
 let test_pool_jobs_agree () =
@@ -693,6 +726,8 @@ let suite =
           Alcotest.test_case "trace-fuel" `Quick test_trace_fuel;
           Alcotest.test_case "trace-attach-idempotent" `Quick
             test_trace_attach_idempotent;
+          Alcotest.test_case "formation-determinism" `Quick
+            test_formation_determinism;
           Alcotest.test_case "pool-jobs" `Quick test_pool_jobs_agree;
           Alcotest.test_case "top-of-memory" `Quick test_top_of_memory;
         ] );

@@ -93,6 +93,63 @@ let test_shrink_keeps_predicate () =
     true
     (Gen.size shrunk < Gen.size prog / 2)
 
+(* Run [f] for at most [seconds] of wall-clock time: [Some] its result,
+   or [None] once a real-time timer interrupts it.  The handler runs at
+   the next poll point, which every loop and call has, so a hang inside
+   [f] fails the test instead of stalling the suite. *)
+exception Timed_out
+
+let within ~seconds f =
+  let timer it_value =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value })
+  in
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      timer 0.;
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      timer seconds;
+      match f () with v -> Some v | exception Timed_out -> None)
+
+(* Shrink through a wrong-arity predicate in value position.  Dropping
+   the [0] of [(greaterp p0 0)] yields [(greaterp p0)], which once hung
+   both backends' code generators; now every configuration rejects it,
+   so the real oracle discards the candidate at once.  The shrink must
+   reach its fixpoint inside the default attempt budget and inside a
+   60 s wall-clock bound (it takes about 0.1 s on a 2-vCPU VM), keeping
+   the predicate — the oracle agrees and a [greaterp] call survives —
+   true. *)
+let test_shrink_wrong_arity_bounded () =
+  let src = "(de h0 (p0) (list (greaterp p0 0) p0))\n(de main () (h0 3))" in
+  let contains sub s =
+    let n = String.length sub and m = String.length s in
+    let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let shrink () =
+    let attempts = ref 0 and visited = ref false in
+    let agrees p =
+      incr attempts;
+      let src = Gen.render p in
+      if contains "(greaterp p0)" src then visited := true;
+      contains "(greaterp " src && Cross.check Cross.smoke src = Cross.Agree
+    in
+    let prog = Sexp.parse_all src in
+    Alcotest.(check bool) "predicate holds initially" true (agrees prog);
+    attempts := 0;
+    let shrunk = Shrink.minimize ~check:agrees prog in
+    Alcotest.(check bool) "visited (greaterp p0)" true !visited;
+    Alcotest.(check bool)
+      (Printf.sprintf "fixpoint after %d attempts (< 2000)" !attempts)
+      true (!attempts < 2000);
+    Alcotest.(check bool) "predicate still holds" true (agrees shrunk)
+  in
+  Alcotest.(check bool) "shrink ends within 60 s" true
+    (within ~seconds:60.0 shrink = Some ())
+
 (* --- the campaign driver, against an injected divergence ---
 
    The acceptance bar for the whole pipeline: a synthetic "bug" (any
@@ -288,6 +345,8 @@ let suite =
         Alcotest.test_case "gen-compilable" `Quick test_gen_compilable;
         Alcotest.test_case "shrink-keeps-predicate" `Quick
           test_shrink_keeps_predicate;
+        Alcotest.test_case "shrink-wrong-arity-bounded" `Quick
+          test_shrink_wrong_arity_bounded;
         Alcotest.test_case "campaign-injected-divergence" `Quick
           test_campaign_catches_injected_divergence;
         Alcotest.test_case "campaign-deterministic" `Quick

@@ -1,16 +1,14 @@
-(* Fault injection on the content-addressed store, on one real file from
-   each namespace: a measurement entry and a trace plan, both produced
-   by one cold run of inter.  Every fault must be a miss, never
-   a hit with other bytes: truncation at every offset, every single-bit
-   flip, a temp file a killed writer left behind, a read-only directory,
-   two domains racing on one key, and a file copied under another key's
-   name.  A flipped digit in a measurement entry must be recomputed, not
-   rendered. *)
+(* Fault injection on the content-addressed store, on one real file of
+   its one namespace: the measurement entry of one cold run of inter.
+   Every fault must be a miss, never a hit with other bytes: truncation
+   at every offset, every single-bit flip, a temp file a killed writer
+   left behind, a read-only directory, two domains racing on one key,
+   and a file copied under another key's name.  A flipped digit in a
+   measurement entry must be recomputed, not rendered. *)
 
 module B = Tagsim.Benchmarks
 module Run = Tagsim.Analysis.Run
 module Cache = Tagsim.Analysis.Cache
-module Plan = Tagsim.Plan
 module Store = Tagsim.Store
 module Scheme = Tagsim.Scheme
 module Support = Tagsim.Support
@@ -49,41 +47,27 @@ let config () =
 (* One real file of a namespace. *)
 type sample = { label : string; ns : Store.t; path : string }
 
-(* Point both stores at a fresh directory, run inter cold once, and
-   hand [f] the measurement entry and the smallest plan; restore the
-   library defaults afterwards. *)
+(* Point the measurement store at a fresh directory, run inter cold
+   once, and hand [f] its entry; restore the library defaults
+   afterwards. *)
 let with_samples f =
   let root = Filename.temp_dir "tagsim_store_test" "" in
   Cache.set_dir root;
-  Plan.set_dir (Filename.concat root "plan");
-  List.iter (fun ns -> Store.set_enabled ns true)
-    [ Cache.namespace; Plan.namespace ];
+  Cache.set_enabled true;
   Run.clear_cache ();
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun ns -> Store.set_enabled ns false)
-        [ Cache.namespace; Plan.namespace ];
+      Cache.set_enabled false;
       Cache.set_dir "_tagsim_cache";
-      Plan.set_dir (Filename.concat "_tagsim_cache" "plan");
       Run.clear_cache ();
       rm_rf root)
     (fun () ->
       let c = config () in
       ignore (Run.run_config c);
-      let smallest ext dir =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun n -> Filename.check_suffix n ext)
-        |> List.map (fun n ->
-               let path = Filename.concat dir n in
-               (String.length (read_file path), path))
-        |> List.sort compare |> List.hd |> snd
-      in
       f
         [
           { label = "entry"; ns = Cache.namespace;
             path = Cache.entry_path (Run.cache_key c) };
-          { label = "plan"; ns = Plan.namespace;
-            path = smallest ".plan" (Plan.dir ()) };
         ])
 
 let load s = Store.load s.ns (key_of s.path) Fun.id
