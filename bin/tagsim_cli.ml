@@ -397,9 +397,11 @@ let print_run_summary () =
     if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
   in
   Fmt.epr
-    "traces: %d formed, %d entered, side-exit rate %.2f%%, %.1f%% of \
-     instructions retired in traces@."
-    tt.Tagsim.Machine.tt_formed tt.Tagsim.Machine.tt_entries
+    "traces: formed %d in %.1fs (%.0f Mword), %d entered, side-exit rate \
+     %.2f%%, %.1f%% of instructions retired in traces@."
+    tt.Tagsim.Machine.tt_formed tt.Tagsim.Machine.tt_form_s
+    (float_of_int tt.Tagsim.Machine.tt_form_words /. 1e6)
+    tt.Tagsim.Machine.tt_entries
     (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
     (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
   match Tagsim.Analysis.Run.dispatch_summary () with

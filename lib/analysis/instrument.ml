@@ -44,7 +44,8 @@ let totals () =
 let backend_totals () = Tagsim_compiler.Bphase.totals ()
 
 (** The traced engine's tier-2 counters — traces formed, trace entries,
-    side exits, instructions retired inside traces, total retired —
+    side exits, instructions retired inside traces, total retired, and
+    the time and words spent forming traces —
     re-exported from the simulator layer so CLI reporting has a single
     instrumentation entry point. *)
 let trace_totals () = Tagsim_sim.Machine.trace_counters ()

@@ -69,11 +69,6 @@ let frontend_of (entry : Registry.entry) =
 let reset_frontends () =
   Mutex.protect frontend_mutex (fun () -> Hashtbl.reset frontends)
 
-(* Count of actual simulations performed (memo-cache misses), for tests
-   that assert the planner simulates each distinct configuration exactly
-   once.  Under concurrent workers a configuration may be simulated
-   twice (the computation is deliberately outside the cache lock), so
-   exact-count tests must use [jobs:1]. *)
 (* Observed cycle totals per program, fed by every materialised
    measurement (computed or loaded from the persistent store): the
    longest-job-first dispatch estimate of {!run_many}.  The maximum
@@ -108,6 +103,11 @@ let cost_estimate c =
 let last_dispatch = ref None
 let dispatch_summary () = !last_dispatch
 
+(* Count of actual simulations performed (memo-cache misses), for tests
+   that assert the planner simulates each distinct configuration exactly
+   once.  Under concurrent workers a configuration may be simulated
+   twice (the computation is deliberately outside the cache lock), so
+   exact-count tests must use [jobs:1]. *)
 let simulation_count = Atomic.make 0
 let simulations () = Atomic.get simulation_count
 let reset_simulations () = Atomic.set simulation_count 0

@@ -63,8 +63,41 @@ let nop_klass = Insn.klass_index Insn.K_nop
 let n_kind_slots = Array.length (Stats.create ()).Stats.kind_cycles
 let n_klass_slots = Array.length (Stats.create ()).Stats.klass_insns
 
-(* --- Static statistics: accumulated densely at fuse time, applied
-   sparsely at run time. --- *)
+(* --- Static statistics: one sparse builder shared by fused blocks and
+   superblock traces. ---
+
+   Each unit of a block or trace — an instruction, or the annulled slot
+   pair of a squashing branch — contributes a compact immediate int.  A
+   compiler sweeps its units once, right to left, adding each to one
+   dense running accumulator; since a dynamic exit owes back exactly
+   the statistics of the units after it, every entry, guard and undo
+   delta is a sparse snapshot of that accumulator taken at the right
+   point of the sweep. *)
+
+(** One unit's static statistics, packed: bits 0-5 the kind slot its
+    cycles are charged to, bits 6-9 its class index plus one (0: it
+    retires no instruction), bit 10 a load-use interlock against its
+    predecessor, bit 11 set when its cycles are annulled slot cycles
+    (also counted as squashed), bits 12 and up its cycles. *)
+type ustat = int
+
+let klass_shift = 6
+let interlock_bit = 1 lsl 10
+let annul_bit = 1 lsl 11
+let cycles_shift = 12
+let () = assert (n_kind_slots <= 64 && n_klass_slots < 16)
+
+let ustat ?(interlock = false) ~klass ~slot cycles : ustat =
+  slot
+  lor ((klass + 1) lsl klass_shift)
+  lor (if interlock then interlock_bit else 0)
+  lor (cycles lsl cycles_shift)
+
+(* Mirrors the reference's squashed-slot accounting: two annulled slot
+   cycles charged to the branch's own annotation slot.  Used by the
+   trace compiler when the expected path falls through a squashing
+   branch, making the annul statically known. *)
+let squash_stat si : ustat = si lor annul_bit lor (2 lsl cycles_shift)
 
 type acc = {
   mutable a_cycles : int;
@@ -85,60 +118,86 @@ let acc_create () =
     a_klass = Array.make n_klass_slots 0;
   }
 
-let acc_add dst src =
-  dst.a_cycles <- dst.a_cycles + src.a_cycles;
-  dst.a_insns <- dst.a_insns + src.a_insns;
-  dst.a_interlocks <- dst.a_interlocks + src.a_interlocks;
-  dst.a_squashed <- dst.a_squashed + src.a_squashed;
-  Array.iteri (fun i v -> dst.a_kind.(i) <- dst.a_kind.(i) + v) src.a_kind;
-  Array.iteri (fun i v -> dst.a_klass.(i) <- dst.a_klass.(i) + v) src.a_klass
-
-(* Mirrors [Stats.count_insn] with the class index pre-resolved. *)
-let acc_count a ki =
-  a.a_insns <- a.a_insns + 1;
-  a.a_klass.(ki) <- a.a_klass.(ki) + 1
+let acc_clear a =
+  a.a_cycles <- 0;
+  a.a_insns <- 0;
+  a.a_interlocks <- 0;
+  a.a_squashed <- 0;
+  Array.fill a.a_kind 0 n_kind_slots 0;
+  Array.fill a.a_klass 0 n_klass_slots 0
 
 (* Mirrors [Stats.charge] with the annotation slot pre-resolved. *)
 let acc_charge a si c =
   a.a_cycles <- a.a_cycles + c;
   a.a_kind.(si) <- a.a_kind.(si) + c
 
-(* Mirrors [Machine.interlock_check] firing: one no-op cycle. *)
-let acc_interlock a =
-  a.a_cycles <- a.a_cycles + 1;
-  a.a_interlocks <- a.a_interlocks + 1;
-  a.a_insns <- a.a_insns + 1;
-  a.a_klass.(nop_klass) <- a.a_klass.(nop_klass) + 1
-
-(* Mirrors the reference's squashed-slot accounting: two annulled slot
-   cycles charged to the branch's own annotation slot.  Used by the
-   trace compiler when the expected path falls through a squashing
-   branch, making the annul statically known. *)
-let acc_squash a si =
-  a.a_cycles <- a.a_cycles + 2;
-  a.a_squashed <- a.a_squashed + 2;
-  a.a_kind.(si) <- a.a_kind.(si) + 2
+(* Mirrors [Stats.count_insn] and [Stats.charge] for the unit's own
+   retirement, and [Machine.interlock_check] firing (one no-op cycle)
+   for its interlock. *)
+let acc_add a (u : ustat) =
+  let cy = u lsr cycles_shift in
+  if cy <> 0 then begin
+    acc_charge a (u land 63) cy;
+    if u land annul_bit <> 0 then a.a_squashed <- a.a_squashed + cy
+  end;
+  let k = (u lsr klass_shift) land 15 in
+  if k <> 0 then begin
+    a.a_insns <- a.a_insns + 1;
+    a.a_klass.(k - 1) <- a.a_klass.(k - 1) + 1
+  end;
+  if u land interlock_bit <> 0 then begin
+    a.a_cycles <- a.a_cycles + 1;
+    a.a_interlocks <- a.a_interlocks + 1;
+    a.a_insns <- a.a_insns + 1;
+    a.a_klass.(nop_klass) <- a.a_klass.(nop_klass) + 1
+  end
 
 (** A pre-summed statistics delta, flattened into one int array so that
     applying it is a single linear sweep: [0..3] hold the cycle,
     instruction, interlock and squashed-slot totals, [4] holds the index
     just past the kind-counter pairs, and the rest are sparse (index,
-    amount) pairs — kind-cycle pairs first, class-count pairs after —
-    because a block typically touches a handful of the counter slots. *)
+    amount) pairs in ascending index order — kind-cycle pairs first,
+    class-count pairs after — because a block typically touches a
+    handful of the counter slots. *)
 type delta = int array
 
-let sparse arr =
-  let l = ref [] in
-  Array.iteri (fun i v -> if v <> 0 then l := v :: i :: !l) arr;
-  List.rev !l
+let count_nonzero arr =
+  let n = ref 0 in
+  for i = 0 to Array.length arr - 1 do
+    if Array.unsafe_get arr i <> 0 then incr n
+  done;
+  !n
+
+(* Write [arr]'s non-zero slots into [d] as pairs from [pos] on. *)
+let fill_pairs d pos arr =
+  let p = ref pos in
+  for i = 0 to Array.length arr - 1 do
+    let v = Array.unsafe_get arr i in
+    if v <> 0 then begin
+      d.(!p) <- i;
+      d.(!p + 1) <- v;
+      p := !p + 2
+    end
+  done
 
 let compress a : delta =
-  let kind = sparse a.a_kind and klass = sparse a.a_klass in
-  let kind_end = 5 + List.length kind in
-  Array.of_list
-    (a.a_cycles :: a.a_insns :: a.a_interlocks :: a.a_squashed :: kind_end
-    :: kind
-    @ klass)
+  let kind_end = 5 + (2 * count_nonzero a.a_kind) in
+  let d = Array.make (kind_end + (2 * count_nonzero a.a_klass)) 0 in
+  d.(0) <- a.a_cycles;
+  d.(1) <- a.a_insns;
+  d.(2) <- a.a_interlocks;
+  d.(3) <- a.a_squashed;
+  d.(4) <- kind_end;
+  fill_pairs d 5 a.a_kind;
+  fill_pairs d kind_end a.a_klass;
+  d
+
+(* [compress] with one more charge, leaving [a] as it was. *)
+let compress_charged a si c =
+  acc_charge a si c;
+  let d = compress a in
+  acc_charge a si (-c);
+  d
 
 (* The sparse indices come from [Stats.slot]/[Insn.klass_index] by
    construction, so the unchecked accesses below cannot go wrong. *)
@@ -396,36 +455,40 @@ let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off =
    its cycle charge when the charge is unconditional on the success
    path (control instructions issue in one cycle), and the load-use
    interlock with its predecessor. *)
-let contribution (prev : Image.entry option) (e : Image.entry) =
+let contribution (prev : Image.entry option) (e : Image.entry) : ustat =
   let insn = e.Image.insn in
-  let si = Stats.slot e.Image.annot in
-  let a = acc_create () in
-  acc_count a (Insn.klass_index (Insn.klass insn));
-  (match insn with
-  | Insn.Alu (op, _, _, _) -> acc_charge a si (M.alu_cycles op)
-  | Insn.Alui ((Insn.Div | Insn.Rem), _, _, 0) ->
-      (* Always aborts before charging. *)
-      ()
-  | Insn.Alui (op, _, _, _) -> acc_charge a si (M.alu_cycles op)
-  | Insn.Li (_, v) -> acc_charge a si (Word.imm_cycles v)
-  | Insn.La (_, v) -> acc_charge a si (Word.imm_cycles v)
-  | Insn.Mv _ | Insn.Ld _ | Insn.St _ | Insn.Add_gen _ | Insn.Sub_gen _
-  | Insn.Settd _ | Insn.Nop | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _
-  | Insn.Jal _ | Insn.Jr _ | Insn.Jalr _ | Insn.Rett | Insn.Trap _
-  | Insn.Halt ->
-      acc_charge a si 1);
-  (match prev with
-  | Some pe when interlocks_after pe.Image.insn insn -> acc_interlock a
-  | _ -> ());
-  a
+  let cycles =
+    match insn with
+    | Insn.Alu (op, _, _, _) -> M.alu_cycles op
+    | Insn.Alui ((Insn.Div | Insn.Rem), _, _, 0) ->
+        (* Always aborts before charging. *)
+        0
+    | Insn.Alui (op, _, _, _) -> M.alu_cycles op
+    | Insn.Li (_, v) -> Word.imm_cycles v
+    | Insn.La (_, v) -> Word.imm_cycles v
+    | Insn.Mv _ | Insn.Ld _ | Insn.St _ | Insn.Add_gen _ | Insn.Sub_gen _
+    | Insn.Settd _ | Insn.Nop | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _
+    | Insn.Jal _ | Insn.Jr _ | Insn.Jalr _ | Insn.Rett | Insn.Trap _
+    | Insn.Halt ->
+        1
+  in
+  let interlock =
+    match prev with
+    | Some pe -> interlocks_after pe.Image.insn insn
+    | None -> false
+  in
+  ustat ~interlock
+    ~klass:(Insn.klass_index (Insn.klass insn))
+    ~slot:(Stats.slot e.Image.annot) cycles
 
 (* Compile one simple instruction into a closure that does only the
    genuinely dynamic work and tail-calls [next]; no-ops and writes to
-   the zero register compile to [next] itself.  On a dynamic exit the
-   closure restores the statistics pre-summed for the unexecuted
-   remainder of the block ([undo]), refunds its pre-paid fuel, and does
-   not call [next]. *)
-let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
+   the zero register compile to [next] itself.  [suffix] holds the
+   statistics pre-summed for every unit after this one.  An instruction
+   that can leave early snapshots its undo delta from it here, at
+   compile time; on a dynamic exit the closure undoes that delta,
+   refunds its pre-paid fuel, and does not call [next]. *)
+let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
     ~(next : chain_fn) : chain_fn =
   let insn = e.Image.insn in
   let exit_early u (t : M.t) =
@@ -441,7 +504,10 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
           (* The charge is pre-summed for the success path; a division
              by zero aborts before charging, so the undo of the suffix
              also takes back this instruction's own cycles. *)
-          let u = Lazy.force undo in
+          let u =
+            compress_charged suffix (Stats.slot e.Image.annot)
+              (M.alu_cycles op)
+          in
           fun t ->
             let b = t.M.regs.(rt) in
             if b = 0 then begin
@@ -461,7 +527,8 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
             next t)
   | Insn.Alui (op, rd, rs, imm) ->
       if (op = Insn.Div || op = Insn.Rem) && imm = 0 then
-        let u = Lazy.force undo in
+        (* Never charged, so the undo is the plain suffix. *)
+        let u = compress suffix in
         fun t ->
           exit_early u t;
           M.abort t M.err_div0;
@@ -494,7 +561,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
         next t
   | Insn.Ld (mode, rd, rs, off) ->
       let eff = effective_fn hw e p mode off in
-      let u = Lazy.force undo in
+      let u = compress suffix in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
         if addr < 0 then begin
@@ -509,7 +576,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
         end
   | Insn.St (mode, rs, rt, off) ->
       let eff = effective_fn hw e p mode off in
-      let u = Lazy.force undo in
+      let u = compress suffix in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
         if addr < 0 then begin
@@ -530,7 +597,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
       let overhead = hw.M.trap_overhead in
       let is_int = hw.M.is_int_item in
       let overflowed = hw.M.gen_overflowed in
-      let u = Lazy.force undo in
+      let u = compress suffix in
       let resume = p + 1 in
       fun t ->
         let a = t.M.regs.(rs) and b = t.M.regs.(rt) in
@@ -582,8 +649,9 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~undo ~refund
    duplicates the join's tail instead of falling through into it, so
    only control transfers (and running off the end of code) ever return
    to the dispatch loop; the overlapped instructions still get their own
-   block for direct entries. *)
-let build_block (m : M.t) l : M.block =
+   block for direct entries.  [acc] is the statistics sweep's
+   accumulator, lent by {!compile} so that one serves every leader. *)
+let build_block (m : M.t) (acc : acc) l : M.block =
   let hw = m.M.hw in
   let code = m.M.code in
   let n = Array.length code in
@@ -596,69 +664,7 @@ let build_block (m : M.t) l : M.block =
   let steps = len + (match term with Ctl _ -> 1 | Fall _ -> 0) in
   let slots = sh.sh_slots in
   let squash = sh.sh_squash in
-  (* Per-unit static contributions: body instructions at 0..len-1, the
-     terminator at [len] (count, issue cycle, and its statically
-     resolved interlock against the body's trailing load), fused delay
-     slots at [len+1] and [len+2] (the first slot never interlocks — the
-     branch reset [pending_load] — and the second only against a load in
-     the first). *)
-  let contribs =
-    Array.init (len + 3) (fun k ->
-        if k < len then
-          let prev = if k = 0 then None else Some code.(l + k - 1) in
-          contribution prev code.(l + k)
-        else if k = len then (
-          match term with
-          | Fall _ -> acc_create ()
-          | Ctl (_, e) ->
-              let prev = if len > 0 then Some code.(stop - 1) else None in
-              contribution prev e)
-        else
-          match slots with
-          | Fused (s1e, s2e) ->
-              if k = len + 1 then contribution None s1e
-              else contribution (Some s1e) s2e
-          | No_slots | Dynamic -> acc_create ())
-  in
-  (* The block-entry delta covers every unit that unconditionally
-     retires when the block runs to completion: the body and terminator
-     always; fused slots only when the branch cannot annul them (a
-     squashing branch applies the slot delta on its taken path
-     instead). *)
-  let entry_hi =
-    match slots with Fused _ when not squash -> len + 2 | _ -> len
-  in
-  let entry_delta =
-    let a = acc_create () in
-    for i = 0 to entry_hi do
-      acc_add a contribs.(i)
-    done;
-    compress a
-  in
-  let suffix ?charge lo hi =
-    lazy
-      (let a = acc_create () in
-       for i = lo to hi do
-         acc_add a contribs.(i)
-       done;
-       (match charge with
-       | Some (si, c) -> acc_charge a si c
-       | None -> ());
-       compress a)
-  in
-  (* The undo for a dynamic exit at unit [k]: the pre-summed suffix
-     after it, plus — for a division whose register divisor may be zero
-     — the instruction's own success-path charge (the reference never
-     charges an aborting division; the always-aborting [Alui ... 0] is
-     never charged in the first place, so it takes the plain suffix). *)
-  let undo_of (e : Image.entry) ~unit ~hi =
-    match e.Image.insn with
-    | Insn.Alu ((Insn.Div | Insn.Rem) as op, _, _, _) ->
-        suffix
-          ~charge:(Stats.slot e.Image.annot, M.alu_cycles op)
-          (unit + 1) hi
-    | _ -> suffix (unit + 1) hi
-  in
+  acc_clear acc;
   let tail : chain_fn =
     match term with
     | Fall fp ->
@@ -691,16 +697,21 @@ let build_block (m : M.t) l : M.block =
                 (* Slot faults report the branch's address, like the
                    reference (pc sits on the branch while slots run);
                    slots ride the branch's retirement, so their pre-paid
-                   fuel refund is zero. *)
+                   fuel refund is zero, and an in-slot exit owes only
+                   the unexecuted slot remainder.  [slot_chain] starts
+                   the sweep over with the pair, leaving both slots'
+                   statistics in [acc]. *)
                 let slot_chain (fin : chain_fn) : chain_fn =
+                  acc_clear acc;
                   let s2op =
-                    compile_op hw s2e ~pc:c
-                      ~undo:(undo_of s2e ~unit:(len + 2) ~hi:(len + 2))
-                      ~refund:0 ~next:fin
+                    compile_op hw s2e ~pc:c ~suffix:acc ~refund:0 ~next:fin
                   in
-                  compile_op hw s1e ~pc:c
-                    ~undo:(undo_of s1e ~unit:(len + 1) ~hi:(len + 2))
-                    ~refund:0 ~next:s2op
+                  acc_add acc (contribution (Some s1e) s2e);
+                  let s1op =
+                    compile_op hw s1e ~pc:c ~suffix:acc ~refund:0 ~next:s2op
+                  in
+                  acc_add acc (contribution None s1e);
+                  s1op
                 in
                 let goto target : chain_fn =
                  fun t ->
@@ -721,9 +732,7 @@ let build_block (m : M.t) l : M.block =
                 let paths target : chain_fn * chain_fn =
                   if squash then
                     let taken_chain = slot_chain (goto target) in
-                    let slots_apply =
-                      apply_fn (Lazy.force (suffix (len + 1) (len + 2)))
-                    in
+                    let slots_apply = apply_fn (compress acc) in
                     ( (fun t ->
                         slots_apply t.M.stats;
                         taken_chain t),
@@ -858,24 +867,39 @@ let build_block (m : M.t) l : M.block =
                       finish t ~taken:true target
                 | _ -> assert false)))
   in
-  (* Thread the body through the terminator as one continuation chain,
-     innermost first. *)
-  let rec chain k (next : chain_fn) : chain_fn =
-    if k < 0 then next
-    else
-      let e = code.(l + k) in
-      chain (k - 1)
-        (compile_op hw e ~pc:(l + k)
-           ~undo:(undo_of e ~unit:k ~hi:entry_hi)
-           ~refund:(steps - (k + 1)) ~next)
-  in
-  let body = chain (len - 1) tail in
+  (* The block-entry delta covers every unit that unconditionally
+     retires when the block runs to completion: the body and terminator
+     always; fused slots only when the branch cannot annul them (a
+     squashing branch applies the slot delta on its taken path
+     instead).  One sweep, right to left, builds it: the slots (the
+     first never interlocks — the branch reset [pending_load] — and the
+     second only against a load in the first), the terminator (count,
+     issue cycle, and its statically resolved interlock against the
+     body's trailing load), then the body, threaded through the
+     terminator as one continuation chain, innermost first, each
+     instruction compiled before its own unit joins the sweep.  Building
+     [tail] left the fused slots in [acc]. *)
+  if squash then acc_clear acc;
+  (match term with
+  | Fall _ -> ()
+  | Ctl (_, e) ->
+      acc_add acc
+        (contribution (if len > 0 then Some code.(stop - 1) else None) e));
+  let body = ref tail in
+  for k = len - 1 downto 0 do
+    let e = code.(l + k) in
+    body :=
+      compile_op hw e ~pc:(l + k) ~suffix:acc ~refund:(steps - (k + 1))
+        ~next:!body;
+    acc_add acc (contribution (if k = 0 then None else Some code.(l + k - 1)) e)
+  done;
+  let body = !body in
+  let entry_apply = apply_fn (compress acc) in
   (* The one dynamic interlock probe: the block's first instruction
      against the previous block's trailing load.  (It does not reset
      [pending_load] — nothing reads it again before a block exit writes
      it.) *)
   let er1, er2 = read_regs code.(l).Image.insn in
-  let entry_apply = apply_fn entry_delta in
   let exec =
     if er1 < 0 && er2 < 0 then fun t ->
       entry_apply t.M.stats;
@@ -897,7 +921,9 @@ let build_block (m : M.t) l : M.block =
 let compile (m : M.t) : M.block option array =
   let n = Array.length m.M.code in
   let leader = leaders m in
-  Array.init n (fun l -> if leader.(l) then Some (build_block m l) else None)
+  let acc = acc_create () in
+  Array.init n (fun l ->
+      if leader.(l) then Some (build_block m acc l) else None)
 
 (** Attach the fused engine: ensure the pre-decoded closures are
     installed (the fused run loop falls back to them for fuel tails and

@@ -12,8 +12,8 @@
     unexecuted block suffix (enforced by the engine differential
     suite).
 
-    The building blocks of fusion — static per-instruction statistics
-    accumulation, flattened deltas, and the continuation-chain compiler
+    The building blocks of fusion — the static statistics builder,
+    flattened deltas, and the continuation-chain compiler
     for simple instructions — are exposed below for {!Trace}, which
     reuses them to compile multi-block superblocks; they are not meant
     for use outside [lib/sim]. *)
@@ -44,7 +44,30 @@ type chain_fn = Machine.t -> int
 
 val stopped : int
 
-(** Dense statistics accumulator used at fuse time. *)
+(** {2 The static statistics builder}
+
+    A compiler sweeps the units of a block or trace right to left
+    through one dense running accumulator; entry, guard and undo deltas
+    are sparse snapshots of it. *)
+
+(** One unit's static statistics (an instruction's count, success-path
+    cycle charge and load-use interlock, or the annulled slot pair of a
+    squashing branch), packed into an immediate int. *)
+type ustat = private int
+
+(** The statically-knowable statistics of one instruction: count, the
+    unconditional success-path cycle charge (control instructions issue
+    in one cycle), and the load-use interlock against the given
+    predecessor. *)
+val contribution : Image.entry option -> Image.entry -> ustat
+
+(** The squashed-slot accounting of an annulling branch (two cycles,
+    charged to the branch's annotation slot), statically applied when a
+    trace's expected path falls through a squashing branch. *)
+val squash_stat : int -> ustat
+
+(** Dense statistics accumulator: totals, then one counter per kind
+    slot and per instruction class, laid out like {!Stats.t}. *)
 type acc = {
   mutable a_cycles : int;
   mutable a_insns : int;
@@ -55,26 +78,16 @@ type acc = {
 }
 
 val acc_create : unit -> acc
-val acc_add : acc -> acc -> unit
-
-(** Mirrors [Stats.charge] with the annotation slot pre-resolved. *)
-val acc_charge : acc -> int -> int -> unit
-
-(** The squashed-slot accounting of an annulling branch (two cycles,
-    charged to the branch's annotation slot), statically applied when a
-    trace's expected path falls through a squashing branch. *)
-val acc_squash : acc -> int -> unit
-
-(** The statically-knowable statistics of one instruction: count, the
-    unconditional success-path cycle charge (control instructions issue
-    in one cycle), and the load-use interlock against the given
-    predecessor. *)
-val contribution : Image.entry option -> Image.entry -> acc
+val acc_clear : acc -> unit
+val acc_add : acc -> ustat -> unit
 
 (** A pre-summed statistics delta, flattened for single-sweep
-    application (see the implementation header for the layout). *)
+    application: the four totals, the index just past the kind-slot
+    pairs, then (slot, amount) pairs in ascending slot order, kind
+    slots first and classes after. *)
 type delta = int array
 
+(** The sparse snapshot of an accumulator. *)
 val compress : acc -> delta
 
 (** A shape-specialised applier for one delta (falls back to the
@@ -99,14 +112,17 @@ val squash_of : Image.entry -> bool
 
 (** Compile one simple (non-control, possibly trapping) instruction
     into a closure doing only the genuinely dynamic work, tail-calling
-    [next] on the success path.  On a dynamic exit it undoes the
-    pre-summed statistics of the unexecuted remainder ([undo]), refunds
-    [refund] pre-paid fuel, and does not call [next]. *)
+    [next] on the success path.  [suffix] holds the statistics
+    pre-summed for every unit after this one; an instruction that can
+    exit early snapshots its undo delta from it during the call (a
+    division adds back its own success-path charge).  On a dynamic exit
+    the closure undoes that delta, refunds [refund] pre-paid fuel, and
+    does not call [next]. *)
 val compile_op :
   Machine.hw ->
   Image.entry ->
   pc:int ->
-  undo:delta Lazy.t ->
+  suffix:acc ->
   refund:int ->
   next:chain_fn ->
   chain_fn

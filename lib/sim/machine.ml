@@ -610,6 +610,8 @@ type trace_totals = {
   tt_side_exits : int;
   tt_in_trace : int; (* instructions retired inside traces *)
   tt_retired : int; (* instructions retired by traced runs, total *)
+  tt_form_s : float; (* wall time inside [Trace.form], summed over domains *)
+  tt_form_words : int; (* minor-heap words allocated inside [Trace.form] *)
 }
 
 let tt_formed_a = Atomic.make 0
@@ -617,7 +619,13 @@ let tt_entries_a = Atomic.make 0
 let tt_side_exits_a = Atomic.make 0
 let tt_in_trace_a = Atomic.make 0
 let tt_retired_a = Atomic.make 0
-let note_trace_formed () = Atomic.incr tt_formed_a
+let tt_form_ns_a = Atomic.make 0
+let tt_form_words_a = Atomic.make 0
+
+let note_formation ~formed ~ns ~words =
+  if formed then Atomic.incr tt_formed_a;
+  ignore (Atomic.fetch_and_add tt_form_ns_a ns);
+  ignore (Atomic.fetch_and_add tt_form_words_a words)
 
 let trace_counters () =
   {
@@ -626,6 +634,8 @@ let trace_counters () =
     tt_side_exits = Atomic.get tt_side_exits_a;
     tt_in_trace = Atomic.get tt_in_trace_a;
     tt_retired = Atomic.get tt_retired_a;
+    tt_form_s = float_of_int (Atomic.get tt_form_ns_a) *. 1e-9;
+    tt_form_words = Atomic.get tt_form_words_a;
   }
 
 let reset_trace_counters () =
@@ -633,7 +643,9 @@ let reset_trace_counters () =
   Atomic.set tt_entries_a 0;
   Atomic.set tt_side_exits_a 0;
   Atomic.set tt_in_trace_a 0;
-  Atomic.set tt_retired_a 0
+  Atomic.set tt_retired_a 0;
+  Atomic.set tt_form_ns_a 0;
+  Atomic.set tt_form_words_a 0
 
 (* The traced hot loop: tier 1 is the fused block dispatch with two
    additions — a per-leader heat/edge profile feeding trace formation,

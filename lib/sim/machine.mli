@@ -217,10 +217,16 @@ type trace_totals = {
   tt_side_exits : int;  (** trace exits off the expected path *)
   tt_in_trace : int;  (** instructions retired inside traces *)
   tt_retired : int;  (** instructions retired by traced runs, total *)
+  tt_form_s : float;
+      (** wall time spent forming traces (growth and compilation, failed
+          attempts included), summed over domains *)
+  tt_form_words : int;
+      (** minor-heap words allocated while forming traces *)
 }
 
-(** Called by {!Trace} when a trace is formed. *)
-val note_trace_formed : unit -> unit
+(** Called by {!Trace} after each formation attempt: whether a trace
+    was installed, and the nanoseconds and minor-heap words it took. *)
+val note_formation : formed:bool -> ns:int -> words:int -> unit
 
 val trace_counters : unit -> trace_totals
 val reset_trace_counters : unit -> unit

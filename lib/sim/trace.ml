@@ -224,20 +224,6 @@ let grow (m : M.t) (ts : M.tstate) head =
 
 (* --- Compilation. --- *)
 
-(* The success-path cycle charge a division owes back when it aborts
-   (the reference never charges an aborting division, but the pre-sum
-   did). *)
-let div_extra (e : Image.entry) =
-  match e.Image.insn with
-  | Insn.Alu (((Insn.Div | Insn.Rem) as op), _, _, _) ->
-      Some (Stats.slot e.Image.annot, M.alu_cycles op)
-  | _ -> None
-
-let compress_sum accs =
-  let a = Fuse.acc_create () in
-  List.iter (Fuse.acc_add a) accs;
-  Fuse.compress a
-
 (* The guard condition of a conditional branch, pre-resolved with the
    comparison inlined (no indirect evaluator call on the hot path). *)
 let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
@@ -463,16 +449,22 @@ let spec_op (e : Image.entry) ~(next : Fuse.chain_fn) : Fuse.chain_fn option =
 (* Compile the expected path of [segs] into one continuation chain with
    one entry delta, building right to left so each junction knows the
    chain, the pre-summed statistics and the pre-paid fuel of everything
-   after it. *)
+   after it.  The statistics come from one backward sweep: [acc] holds
+   the expected-path units to the right of the point being compiled, so
+   every undo and guard delta is a snapshot of it, and after the head
+   it holds the entry delta.  Off-path slot deltas, which do not depend
+   on the expected path, are swept through a second, scratch
+   accumulator. *)
 let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   let hw = m.M.hw in
   let code = m.M.code in
+  let acc = Fuse.acc_create () and scratch = Fuse.acc_create () in
   (* Specialised closure when the operation cannot trap, shared
-     compiler otherwise. *)
-  let op_of e ~pc ~undo ~refund ~(next : Fuse.chain_fn) =
+     compiler otherwise; [suffix] holds the units after [e]. *)
+  let op_of suffix e ~pc ~refund ~(next : Fuse.chain_fn) =
     match spec_op e ~next with
     | Some f -> f
-    | None -> Fuse.compile_op hw e ~pc ~undo ~refund ~next
+    | None -> Fuse.compile_op hw e ~pc ~suffix ~refund ~next
   in
   let k = Array.length segs in
   let slots_run i =
@@ -510,61 +502,12 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
         t.M.pending_load <- final_pl;
         exit_pc)
   in
-  (* [after]: expected-path statistics of every segment to the right of
-     the one being compiled (immutable once captured by a closure — a
-     fresh accumulator replaces it each iteration). *)
-  let after = ref (Fuse.acc_create ()) in
   let refund_after = ref 0 in
   for i = k - 1 downto 0 do
     let s = segs.(i) in
     let l = s.sg_pc and len = s.sg_len and c = s.sg_stop in
-    let suffix = !after in
     let ra_ref = !refund_after in
     let cont = !chain in
-    (* Expected-path unit contributions: body, terminator, then the
-       delay slots — or the branch's annul accounting when the expected
-       path squashes them. *)
-    let units =
-      Array.init (len + 3) (fun u ->
-          if u < len then
-            let prev = if u = 0 then cross_prev i else Some code.(l + u - 1) in
-            Fuse.contribution prev code.(l + u)
-          else if u = len then
-            let prev = if len > 0 then Some code.(c - 1) else cross_prev i in
-            Fuse.contribution prev s.sg_term
-          else if slots_run i then
-            if u = len + 1 then Fuse.contribution None s.sg_s1
-            else Fuse.contribution (Some s.sg_s1) s.sg_s2
-          else if u = len + 1 then begin
-            let a = Fuse.acc_create () in
-            Fuse.acc_squash a (Stats.slot s.sg_term.Image.annot);
-            a
-          end
-          else Fuse.acc_create ())
-    in
-    let path_hi = if slots_run i then len + 2 else len + 1 in
-    (* Trace-wide undo for a dynamic exit at unit [lo - 1]: the rest of
-       this segment's expected path plus every later segment. *)
-    let undo_from ?extra lo =
-      lazy
-        (let a = Fuse.acc_create () in
-         for j = lo to path_hi do
-           Fuse.acc_add a units.(j)
-         done;
-         Fuse.acc_add a suffix;
-         (match extra with
-         | Some (si, cc) -> Fuse.acc_charge a si cc
-         | None -> ());
-         Fuse.compress a)
-    in
-    let empty_undo ?extra () =
-      lazy
-        (let a = Fuse.acc_create () in
-         (match extra with
-         | Some (si, cc) -> Fuse.acc_charge a si cc
-         | None -> ());
-         Fuse.compress a)
-    in
     (* Slot contributions independent of the expected path (the off path
        of an expected-fall squashing branch runs them even though the
        pre-sum holds the annul accounting instead). *)
@@ -572,44 +515,32 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
     let sc2 = Fuse.contribution (Some s.sg_s1) s.sg_s2 in
     let post_pl = Fuse.exit_pl_of s.sg_s2.Image.insn in
     let si = Stats.slot s.sg_term.Image.annot in
-    (* On-path slot chain: slots flow into [cont2]; an in-slot dynamic
-       exit undoes the slot remainder and every later segment (the
-       slots ride the junction's retirement, so only later segments'
-       fuel is refunded). *)
-    let on_slots cont2 =
-      let s2op =
-        op_of s.sg_s2 ~pc:c
-          ~undo:(undo_from ?extra:(div_extra s.sg_s2) (len + 3))
-          ~refund:ra_ref ~next:cont2
-      in
-      op_of s.sg_s1 ~pc:c
-        ~undo:(undo_from ?extra:(div_extra s.sg_s1) (len + 2))
-        ~refund:ra_ref ~next:s2op
+    (* The slot pair flowing into [next], swept through [a]: each slot
+       owes back what [a] holds when it is compiled, and both slots are
+       left in [a]. *)
+    let slot_pair a ~refund next =
+      let s2op = op_of a s.sg_s2 ~pc:c ~refund ~next in
+      Fuse.acc_add a sc2;
+      let s1op = op_of a s.sg_s1 ~pc:c ~refund ~next:s2op in
+      Fuse.acc_add a sc1;
+      s1op
     in
+    (* On-path slot chain: an in-slot dynamic exit undoes the slot
+       remainder and every later segment (the slots ride the junction's
+       retirement, so only later segments' fuel is refunded). *)
+    let on_slots cont2 = slot_pair acc ~refund:ra_ref cont2 in
     (* Off-path slot chain: runs after a guard already rolled back every
        later segment, with the slot pair's own statistics in force, so
-       an in-slot exit owes only the unexecuted slot remainder. *)
+       an in-slot exit owes only the unexecuted slot remainder; leaves
+       the pair in [scratch]. *)
     let off_slots pc_off =
-      let fin (t : M.t) =
-        t.M.pending_load <- post_pl;
-        pc_off
-      in
-      let s2op =
-        op_of s.sg_s2 ~pc:c
-          ~undo:(empty_undo ?extra:(div_extra s.sg_s2) ())
-          ~refund:0 ~next:fin
-      in
-      op_of s.sg_s1 ~pc:c
-        ~undo:
-          (lazy
-            (let a = Fuse.acc_create () in
-             Fuse.acc_add a sc2;
-             (match div_extra s.sg_s1 with
-             | Some (si, cc) -> Fuse.acc_charge a si cc
-             | None -> ());
-             Fuse.compress a))
-        ~refund:0 ~next:s2op
+      Fuse.acc_clear scratch;
+      slot_pair scratch ~refund:0 (fun (t : M.t) ->
+          t.M.pending_load <- post_pl;
+          pc_off)
     in
+    (* Each junction leaves the sweep holding this segment's slots (or
+       its annul accounting) on top of the later segments. *)
     let jchain : Fuse.chain_fn =
       match s.sg_jct with
       | Jump { link } ->
@@ -624,7 +555,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
           (* Slots run before the target is known; the guard then tests
              the latched target against the expected successor. *)
           let expected = s.sg_next in
-          let d_suffix = Fuse.compress suffix in
+          let d_suffix = Fuse.compress acc in
           let guard (t : M.t) =
             if t.M.jump_target = expected then cont t
             else begin
@@ -652,8 +583,8 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
           if not s.sg_squash then begin
             (* Slots run on both paths with identical statistics; the
                side exit only owes the later segments. *)
+            let d_suffix = Fuse.compress acc in
             let on = on_slots cont in
-            let d_suffix = Fuse.compress suffix in
             let off_chain = off_slots pc_off in
             let off (t : M.t) =
               Fuse.delta_undo t.M.stats d_suffix;
@@ -668,7 +599,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
                through annuls them — undo slots and later segments, then
                charge the annul cycles the reference charges. *)
             let on = on_slots cont in
-            let d_undo = compress_sum [ sc1; sc2; suffix ] in
+            let d_undo = Fuse.compress acc in
             let off (t : M.t) =
               Fuse.delta_undo t.M.stats d_undo;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
@@ -687,9 +618,10 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
                branch undoes it (and the later segments), then runs the
                slots for real — applying their statistics first, since
                the pre-sum deliberately left them out. *)
-            let d_undo = compress_sum [ units.(len + 1); suffix ] in
-            let slots_apply = Fuse.apply_fn (compress_sum [ sc1; sc2 ]) in
+            Fuse.acc_add acc (Fuse.squash_stat si);
+            let d_undo = Fuse.compress acc in
             let off_chain = off_slots target in
+            let slots_apply = Fuse.apply_fn (Fuse.compress scratch) in
             let off (t : M.t) =
               Fuse.delta_undo t.M.stats d_undo;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
@@ -699,28 +631,26 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
             fun t -> if test t then off t else cont t
           end
     in
-    (* Thread the body into the junction, innermost first. *)
-    let rec body u (next : Fuse.chain_fn) : Fuse.chain_fn =
-      if u < 0 then next
-      else
-        let e = code.(l + u) in
-        body (u - 1)
-          (op_of e ~pc:(l + u)
-             ~undo:(undo_from ?extra:(div_extra e) (u + 1))
-             ~refund:(len - u + ra_ref)
-             ~next)
-    in
-    chain := body (len - 1) jchain;
-    refund_after := ra_ref + steps_of i;
-    let nt = Fuse.acc_create () in
-    Fuse.acc_add nt suffix;
-    for j = 0 to path_hi do
-      Fuse.acc_add nt units.(j)
+    (* The terminator, then the body threaded into the junction,
+       innermost first. *)
+    Fuse.acc_add acc
+      (Fuse.contribution
+         (if len > 0 then Some code.(c - 1) else cross_prev i)
+         s.sg_term);
+    let body = ref jchain in
+    for u = len - 1 downto 0 do
+      let e = code.(l + u) in
+      body := op_of acc e ~pc:(l + u) ~refund:(len - u + ra_ref) ~next:!body;
+      Fuse.acc_add acc
+        (Fuse.contribution
+           (if u = 0 then cross_prev i else Some code.(l + u - 1))
+           e)
     done;
-    after := nt
+    chain := !body;
+    refund_after := ra_ref + steps_of i
   done;
   let head = segs.(0).sg_pc in
-  let entry_apply = Fuse.apply_fn (Fuse.compress !after) in
+  let entry_apply = Fuse.apply_fn (Fuse.compress acc) in
   let body0 = !chain in
   (* The one dynamic interlock probe, as on fused block entry: the
      trace's first instruction against a load in flight from whatever
@@ -767,21 +697,31 @@ let plan_of_segs (segs : seg array) exit_pc : Plan.trace =
 
 (* --- Formation (called by the run loop at the hot threshold). --- *)
 
+(* Formation is timed and its allocation counted for the [traces:]
+   diagnostics; [Gc.minor_words] is per domain, so the difference is
+   this call's own allocation even while other domains run. *)
 let form (t : M.t) head =
   match t.M.tstate with
   | None -> ()
   | Some ts ->
       if ts.M.ts_traces.(head) = None then begin
-        match grow t ts head with
-        | Ok (segs, exit_pc) ->
-            M.note_trace_formed ();
-            ts.M.ts_traces.(head) <- Some (compile_trace t segs exit_pc);
-            ts.M.ts_plans <- plan_of_segs segs exit_pc :: ts.M.ts_plans
-        | Error retryable ->
-            (* Retryable heads re-arm the heat counter and try again
-               once more edge profile has accumulated; structural
-               failures stay saturated so the check never repeats. *)
-            if retryable then ts.M.ts_heat.(head) <- 0
+        let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
+        let formed =
+          match grow t ts head with
+          | Ok (segs, exit_pc) ->
+              ts.M.ts_traces.(head) <- Some (compile_trace t segs exit_pc);
+              ts.M.ts_plans <- plan_of_segs segs exit_pc :: ts.M.ts_plans;
+              true
+          | Error retryable ->
+              (* Retryable heads re-arm the heat counter and try again
+                 once more edge profile has accumulated; structural
+                 failures stay saturated so the check never repeats. *)
+              if retryable then ts.M.ts_heat.(head) <- 0;
+              false
+        in
+        M.note_formation ~formed
+          ~ns:(int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+          ~words:(int_of_float (Gc.minor_words () -. w0))
       end
 
 (* --- Attachment. --- *)
