@@ -117,8 +117,7 @@ let benchmark () =
         (analyze_one test))
     tests
 
-(* --- Phase 3: engine throughput, reference vs predecoded vs fused vs
-   traced. ---
+(* --- Phase 3: engine throughput, reference vs traced. ---
 
    Every registry program (full checking: software type checks,
    generic-arithmetic traps and the GC), pre-compiled once and
@@ -126,8 +125,7 @@ let benchmark () =
    statistics (test/suite_engines.ml), so any wall-clock gap is pure
    dispatch and accounting overhead.  Reported as simulated MIPS —
    retired simulated instructions per wall-clock second — and recorded
-   in BENCH_engines.json alongside the fused/predecoded and
-   traced/fused speedups. *)
+   in BENCH_engines.json alongside the traced/reference speedup. *)
 
 let engine_programs =
   List.map
@@ -230,13 +228,9 @@ let engine_benchmark () =
             (if j = List.length runs - 1 then "" else ","))
         runs;
       out "      ]";
-      (match (mips_of runs "fused", mips_of runs "predecoded") with
-      | Some f, Some p when p > 0.0 ->
-          out ",\n      \"fused_over_predecoded\": %.2f" (f /. p)
-      | _ -> ());
-      (match (mips_of runs "traced", mips_of runs "fused") with
-      | Some t, Some f when f > 0.0 ->
-          out ",\n      \"traced_over_fused\": %.2f" (t /. f)
+      (match (mips_of runs "traced", mips_of runs "reference") with
+      | Some t, Some r when r > 0.0 ->
+          out ",\n      \"traced_over_reference\": %.2f" (t /. r)
       | _ -> ());
       out "\n    }%s\n" (if i = List.length rows - 1 then "" else ","))
     rows;

@@ -77,11 +77,9 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Simulator engine: $(b,traced) (default; profile-guided \
-           superblock traces over fused blocks), $(b,fused) \
-           (basic-block fused closures with direct chaining), \
-           $(b,predecoded) (per-instruction pre-compiled closures) or \
-           $(b,reference) (the re-decoding interpreter).  All produce \
-           bit-identical statistics.")
+           superblock traces over fused blocks) or $(b,reference) (the \
+           re-decoding interpreter).  Both produce bit-identical \
+           statistics.")
 
 let jobs =
   Arg.(

@@ -133,8 +133,6 @@ let matrix_key c =
 let config_key c =
   (match c.c_engine with
   | `Reference -> "ref"
-  | `Predecoded -> "pre"
-  | `Fused -> "fus"
   | `Traced -> "tra")
   ^ "/" ^ matrix_key c
 

@@ -13,8 +13,6 @@ module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Link = Tagsim_asm.Link
 module Machine = Tagsim_sim.Machine
-module Predecode = Tagsim_sim.Predecode
-module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
@@ -113,13 +111,11 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Engine-attachment caches: the pre-decoded closure array and the
-     fused block array compiled on the first [load] and installed
-     directly on every later machine for this program (they capture only
-     the image and the hardware configuration, both fixed per program,
-     never the machine).  [[||]] until first use; guarded by length, as
-     in [Predecode.attach]. *)
-  mutable exec_cache : Machine.exec_fn array;
+  (* Traced-engine attachment caches: the fused block array compiled on
+     the first traced [load] and installed directly on every later
+     machine for this program (the blocks capture only the image and the
+     hardware configuration, both fixed per program, never the machine).
+     [[||]] until first use; guarded by length, as in [Fuse.attach]. *)
   mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
       (* the traced engine's heat/edge profile and formed traces,
@@ -359,7 +355,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     sizes;
     mem_bytes;
     meta;
-    exec_cache = [||];
     blocks_cache = [||];
     tstate_cache = None;
   }
@@ -457,30 +452,11 @@ let plan_key (_ : t) = ""
 
 let load ?fuel ?(engine = `Traced) t =
   let hw = Scheme.machine_hw ~mem_bytes:t.mem_bytes t.scheme in
-  let m = Machine.create ?fuel ~engine ~hw t.image in
+  let m = Machine.create ?fuel ~hw t.image in
   let code_len = Array.length t.image.Image.code in
   (match engine with
   | `Reference -> ()
-  | `Predecoded ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache
-      else begin
-        Predecode.attach m;
-        t.exec_cache <- m.Machine.exec
-      end
-  | `Fused ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache;
-      if Array.length t.blocks_cache = code_len then
-        m.Machine.blocks <- t.blocks_cache
-      else begin
-        Fuse.attach m;
-        t.exec_cache <- m.Machine.exec;
-        t.blocks_cache <- m.Machine.blocks
-      end
   | `Traced ->
-      if Array.length t.exec_cache = code_len then
-        m.Machine.exec <- t.exec_cache;
       if Array.length t.blocks_cache = code_len then
         m.Machine.blocks <- t.blocks_cache;
       (match t.tstate_cache with
@@ -488,7 +464,6 @@ let load ?fuel ?(engine = `Traced) t =
           m.Machine.tstate <- Some ts
       | _ -> ());
       Trace.attach m;
-      t.exec_cache <- m.Machine.exec;
       t.blocks_cache <- m.Machine.blocks;
       t.tstate_cache <- m.Machine.tstate);
   let map =

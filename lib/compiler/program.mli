@@ -31,10 +31,10 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Engine-attachment caches, compiled on first [load] and shared by
-     every later machine for this program (the closures capture only the
-     image and hardware configuration, never a machine). *)
-  mutable exec_cache : Machine.exec_fn array;
+  (* Traced-engine attachment caches, built on the first traced [load]
+     and shared by every later machine for this program (the blocks
+     capture only the image and hardware configuration, never a
+     machine). *)
   mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
 }
@@ -134,10 +134,12 @@ val plan_key : t -> string
 
 (** Create a machine, poke the memory-map words and register the trap
     handlers; ready to run from address 0.  [engine] selects the
-    simulator engine (default [`Traced], the fast path; all engines
-    produce bit-identical statistics).  Under [`Traced], every machine
-    of a program shares one trace-engine state, so traces formed by one
-    run serve the next in the same process; they are never persisted. *)
+    simulator engine (default [`Traced], the fast path; [`Reference]
+    attaches nothing and runs the oracle interpreter; both produce
+    bit-identical statistics).  Under [`Traced], every machine of a
+    program shares one block array and one trace-engine state, so traces
+    formed by one run serve the next in the same process; they are never
+    persisted. *)
 val load : ?fuel:int -> ?engine:Machine.engine -> t -> Machine.t * L.map
 
 (** [run] is [load] + [Machine.run] + result decoding. *)

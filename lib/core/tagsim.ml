@@ -28,7 +28,6 @@ module Image = Tagsim_asm.Image
 module Link = Tagsim_asm.Link
 module Store = Tagsim_store.Store
 module Machine = Tagsim_sim.Machine
-module Predecode = Tagsim_sim.Predecode
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
 module Plan = Tagsim_sim.Plan

@@ -8,8 +8,9 @@
     - both backends must produce byte-identical images at [`None]
       ({!Tagsim_asm.Image.equal}), and must agree on whether the
       program compiles at all;
-    - all four engines must produce the same outcome, bit-identical
-      {!Tagsim_sim.Stats} and identical GC counters on the same image;
+    - the reference and traced engines must produce the same outcome,
+      bit-identical {!Tagsim_sim.Stats} and identical GC counters on the
+      same image;
     - [`Checks] must preserve the observable outcome (value or trap)
       whenever run-time checking is on;
     - under full checking, the machine outcome must agree with the
@@ -31,14 +32,14 @@ type matrix = {
   m_opts : Program.opt list;
 }
 
-(** One scheme/support pair (high5, software + full checking), all four
+(** One scheme/support pair (high5, software + full checking), both
     engines, both backends, both opt levels: the [dune runtest] smoke
     matrix. *)
 val smoke : matrix
 
 (** All four schemes x a support sample (software and full checking,
-    plus hardware rows under checking), all engines, backends and opt
-    levels: the CI fuzz matrix. *)
+    plus hardware rows under checking), both engines, both backends and
+    both opt levels: the CI fuzz matrix. *)
 val full : matrix
 
 val by_name : string -> matrix option

@@ -1,13 +1,13 @@
-(** The basic-block fusion engine.
+(** Basic-block fusion: tier 1 of the traced engine.
 
     [attach] builds the static control-flow graph over a machine's code
     (leaders: the entry point, every code label, branch/jump targets,
     fall-throughs after a control instruction and its two delay slots,
     and the resumption point after each generic-arithmetic instruction)
-    and fuses each straight-line run of pre-decoded instruction bodies —
-    terminator and delay slots included — into a single block closure;
-    [Machine.run] on a [`Fused] machine then dispatches once per block
-    instead of once per instruction.
+    and fuses each straight-line run of instructions — terminator and
+    delay slots included — into a single block closure; the traced run
+    loop ([Machine.run] once {!Trace.attach} has run) dispatches once
+    per block instead of once per instruction.
 
     Inside a block everything statically knowable is pre-summed at fuse
     time into one {!delta} applied in a single shot on block entry:
@@ -23,8 +23,8 @@
     subtracts the pre-summed statistics of the instructions that did not
     execute and refunds their pre-paid fuel, so the engine stays
     bit-identical to the reference interpreter — statistics, abort
-    codes, fuel trajectory and all (enforced by the three-way engine
-    differential suite).
+    codes, fuel trajectory and all (enforced by the engine differential
+    suite).
 
     Delay slots are fused into their branch whenever both slot
     instructions are simple (not control, not generic arithmetic): the
@@ -316,14 +316,7 @@ let interlock_stats (t : M.t) =
   s.Stats.insns <- s.Stats.insns + 1;
   s.Stats.klass_insns.(nop_klass) <- s.Stats.klass_insns.(nop_klass) + 1
 
-(* Registers read by an instruction as a pre-resolved pair (at most two;
-   -1 = none). *)
-let read_regs (insn : int Insn.t) =
-  match Insn.reads insn with
-  | [] -> (-1, -1)
-  | [ r ] -> (r, -1)
-  | [ r1; r2 ] -> (r1, r2)
-  | _ -> assert false
+let read_regs = Predecode.read_regs
 
 (* Statically-resolved load-use dependence: does [next] read the
    destination of a preceding load [prev]?  (Only a load leaves
@@ -352,7 +345,7 @@ type terminator = Ctl of int * Image.entry | Fall of int
    are simple enough to fuse into the block, [Dynamic] otherwise (a slot
    holds a control or generic-arithmetic instruction, or runs off the
    end of code) — then the slots execute through the per-instruction
-   pre-decoded closures with the [in_slot] protocol intact. *)
+   slot closures of {!Predecode.compile_simple}. *)
 type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic
 
 (* The static layout of the block led by an address: where the
@@ -799,10 +792,10 @@ let build_block (m : M.t) (acc : acc) l : M.block =
                 | _ -> assert false)
             | No_slots | Dynamic -> (
                 (* Dynamic slots: run through the per-instruction
-                   pre-decoded closures with the [in_slot] protocol, so
-                   in-slot traps and aborts behave exactly as in the
-                   reference.  [pending_load] is reset first, as the
-                   branch's own [interlock_check] does. *)
+                   [Predecode.compile_simple] slot closures, so in-slot
+                   traps and aborts behave exactly as in the reference.
+                   [pending_load] is reset first, as the branch's own
+                   [interlock_check] does. *)
                 let slot j : M.t -> unit =
                   if j < 0 || j >= n then
                     fun _ -> M.errorf "pc out of range: %d" j
@@ -810,10 +803,8 @@ let build_block (m : M.t) (acc : acc) l : M.block =
                 in
                 let s1 = slot (c + 1) and s2 = slot (c + 2) in
                 let exec_slots (t : M.t) =
-                  t.M.in_slot <- true;
                   s1 t;
-                  if t.M.outcome = None then s2 t;
-                  t.M.in_slot <- false
+                  if t.M.outcome = None then s2 t
                 in
                 let squash_slots (t : M.t) =
                   let s = t.M.stats in
@@ -910,13 +901,7 @@ let build_block (m : M.t) (acc : acc) l : M.block =
       entry_apply t.M.stats;
       body t
   in
-  {
-    M.b_pc = l;
-    M.b_steps = steps;
-    M.b_exec = exec;
-    M.b_next1 = None;
-    M.b_next2 = None;
-  }
+  { M.b_pc = l; M.b_steps = steps; M.b_exec = exec }
 
 let compile (m : M.t) : M.block option array =
   let n = Array.length m.M.code in
@@ -925,19 +910,12 @@ let compile (m : M.t) : M.block option array =
   Array.init n (fun l ->
       if leader.(l) then Some (build_block m acc l) else None)
 
-(** Attach the fused engine: ensure the pre-decoded closures are
-    installed (the fused run loop falls back to them for fuel tails and
-    non-leader entry points), then build and install the block array;
-    idempotent (see {!Predecode.attach} for why the staleness test is on
-    lengths). *)
+(** Build and install the block array; idempotent.  The staleness test
+    is on array lengths: [blocks] starts out as the shared empty atom,
+    and compiling an empty code image yields that same atom, so a
+    structural [m.blocks = [||]] guard would recompile every empty-code
+    machine on every call, whereas a compiled array has the code's
+    length by construction. *)
 let attach (m : M.t) =
-  Predecode.attach m;
   if Array.length m.M.blocks <> Array.length m.M.code then
     m.M.blocks <- compile m
-
-(** Convenience: a machine created with the fused engine already
-    attached. *)
-let create ?fuel ~hw image =
-  let m = M.create ?fuel ~engine:`Fused ~hw image in
-  attach m;
-  m

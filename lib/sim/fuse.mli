@@ -1,16 +1,14 @@
-(** The basic-block fusion engine: straight-line runs of pre-decoded
-    instructions are fused into single block closures with all
+(** Basic-block fusion, tier 1 of the traced engine: straight-line runs
+    of instructions are fused into single block closures with all
     statically-knowable statistics (instruction and class counts,
     per-slot cycle charges, in-block load-use interlocks) pre-summed
-    into one delta applied on block entry, and successor blocks chained
-    directly through a per-block memo.  [Machine.run] on a [`Fused]
-    machine dispatches once per block instead of once per instruction.
+    into one delta applied on block entry.  The traced run loop
+    dispatches once per block instead of once per instruction.
     Produces bit-identical {!Stats.t} to the reference interpreter —
     including on dynamic early exits (division by zero, checked-load
-    type traps, generic-arithmetic traps, fuel exhaustion), which undo
-    the pre-summed statistics and refund the pre-paid fuel of the
-    unexecuted block suffix (enforced by the engine differential
-    suite).
+    type traps, generic-arithmetic traps), which undo the pre-summed
+    statistics and refund the pre-paid fuel of the unexecuted block
+    suffix (enforced by the engine differential suite).
 
     The building blocks of fusion — the static statistics builder,
     flattened deltas, and the continuation-chain compiler
@@ -21,20 +19,13 @@
 module Image := Tagsim_asm.Image
 module Insn := Tagsim_mipsx.Insn
 
-(** Build the block array for a machine's code (exposed for tests;
-    normally use {!attach}).  Index [i] is [Some] iff [i] is a block
-    leader: the entry point, a code label, a branch or jump target, the
-    fall-through after a control instruction and its two delay slots, or
-    the resumption point after a generic-arithmetic instruction. *)
-val compile : Machine.t -> Machine.block option array
-
-(** Install the pre-decoded closures (via {!Predecode.attach}) and the
-    fused block array on the machine; idempotent.  Required before
-    [Machine.run] on a machine created with [~engine:`Fused]. *)
+(** Build and install the block array on the machine; idempotent.
+    Index [i] is [Some] iff [i] is a block leader: the entry point, a
+    code label, a branch or jump target, the fall-through after a
+    control instruction and its two delay slots, or the resumption point
+    after a generic-arithmetic instruction.  Called by
+    {!Trace.attach}. *)
 val attach : Machine.t -> unit
-
-(** Convenience: [Machine.create ~engine:`Fused] plus {!attach}. *)
-val create : ?fuel:int -> hw:Machine.hw -> Image.t -> Machine.t
 
 (** {1 Fusion building blocks (shared with {!Trace})} *)
 
@@ -128,7 +119,8 @@ val compile_op :
   chain_fn
 
 (** How a terminator's two delay slots are handled: fused into the
-    block, run dynamically through the per-instruction closures, or
+    block, run dynamically through the {!Predecode.compile_simple}
+    closures, or
     absent (slotless control instructions and blocks falling off the end
     of code). *)
 type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic

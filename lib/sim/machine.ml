@@ -28,22 +28,20 @@ let errorf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 (** Execution engine selector.  [`Reference] re-decodes every retired
     instruction (the original interpreter, kept as the semantic
-    baseline); [`Predecoded] runs closures compiled once per image by
-    {!Predecode.attach}; [`Fused] runs basic-block closures compiled by
-    {!Fuse.attach}, dispatching once per block; [`Traced] runs fused
-    blocks under an edge-heat profile and promotes hot paths into
-    superblock traces compiled by {!Trace} (attached with
-    {!Trace.attach}), dispatching once per trace on the hot paths.  All
-    engines must produce bit-identical statistics. *)
-type engine = [ `Reference | `Predecoded | `Fused | `Traced ]
+    oracle); [`Traced] runs fused basic-block closures ({!Fuse}) under
+    an edge-heat profile and promotes hot paths into superblock traces
+    compiled by {!Trace} (attached with {!Trace.attach}), dispatching
+    once per trace on the hot paths.  Both engines must produce
+    bit-identical statistics.  {!run} picks the loop from the attached
+    state, not from this type: it names the engines for the CLI, the
+    measurement keys and the fuzzer. *)
+type engine = [ `Reference | `Traced ]
 
 let engine_name : engine -> string = function
   | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
-  | `Fused -> "fused"
   | `Traced -> "traced"
 
-let engine_all : engine list = [ `Reference; `Predecoded; `Fused; `Traced ]
+let engine_all : engine list = [ `Reference; `Traced ]
 
 let engine_by_name s : engine option =
   List.find_opt (fun e -> engine_name e = s) engine_all
@@ -87,19 +85,14 @@ type t = {
   mutable outcome : outcome option;
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
-  engine : engine;
-  mutable exec : exec_fn array;
-      (* one step closure per code entry, installed by Predecode.attach;
-         [||] until then *)
   mutable blocks : block option array;
       (* one fused block per basic-block leader, indexed by leader pc,
          installed by Fuse.attach; [||] until then *)
   mutable tstate : tstate option;
       (* trace-engine state (heat/edge profile and formed traces),
-         installed by Trace.attach; None until then *)
+         installed by Trace.attach; None until then, and [run] stays on
+         the reference interpreter *)
 }
-
-and exec_fn = t -> unit
 
 (* A fused basic block: [b_exec] retires the whole straight-line run
    (body, terminator and its delay slots) in one call, with everything
@@ -110,18 +103,12 @@ and exec_fn = t -> unit
    retirements the block performs when it runs to completion (delay
    slots ride their branch's retirement); the run loop pre-pays that
    much fuel before entry (closures refund the unretired remainder on an
-   early dynamic exit).  The [b_next] slots memoise the successor lookup
-   (direct block chaining): after the first resolution a hot loop never
-   touches the dispatch array.  A memoised hit is validated against the
-   successor's immutable [b_pc], so a stale or torn memo read can only
-   miss, never execute the wrong block — block arrays may be shared
-   between machines running in parallel domains. *)
+   early dynamic exit).  Blocks are immutable, so block arrays may be
+   shared between machines running in parallel domains. *)
 and block = {
   b_pc : int; (* leader address of this block *)
   b_steps : int;
   b_exec : t -> int;
-  mutable b_next1 : block option;
-  mutable b_next2 : block option;
 }
 
 (* Trace-engine state, one per attached code image (shareable between
@@ -135,7 +122,8 @@ and block = {
    (CLOCK-style decay on conflict), consulted by trace formation to pick
    the dominant path.  All of it is racily shared across domains by
    design: a torn or stale read can only delay or re-run formation,
-   never corrupt execution — traces are validated like block memos.
+   never corrupt execution — a memoised trace is validated against its
+   immutable [tr_pc] before it runs.
    [ts_plans] mirrors [ts_traces] as pure data: one [Plan.trace] per
    formed trace.  [ts_dirty] is never set: it stays only for tagbench/,
    which still reads it. *)
@@ -160,7 +148,8 @@ and tstate = {
    back to the exact per-block values), or a negative value once the
    outcome is decided.  [tr_next] memoises the trace at [tr_exit] for
    direct trace chaining (a loop trace chains to itself); the memo is
-   validated against the immutable [tr_pc] exactly like block memos. *)
+   validated against the immutable [tr_pc], so a stale or torn read can
+   only miss, never run the wrong trace. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_blocks : int;
@@ -183,7 +172,7 @@ let prefix_words ~limit n words =
   let rec double n = if n >= words then n else double (2 * n) in
   min limit (double n)
 
-let create ?(fuel = 600_000_000) ?(engine = `Reference) ~hw (image : Image.t) =
+let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
   if hw.mem_bytes land (hw.mem_bytes - 1) <> 0 then
     invalid_arg "mem_bytes must be a power of two";
   let mem_words = hw.mem_bytes / 4 in
@@ -213,8 +202,6 @@ let create ?(fuel = 600_000_000) ?(engine = `Reference) ~hw (image : Image.t) =
     outcome = None;
     fuel;
     in_slot = false;
-    engine;
-    exec = [||];
     blocks = [||];
     tstate = None;
   }
@@ -506,100 +493,6 @@ let run_reference t =
   in
   loop ()
 
-(* The pre-decoded hot loop: an array-indexed closure call per retired
-   instruction, no re-decoding.  The closures are built by
-   {!Predecode.attach}. *)
-let run_predecoded t =
-  let exec = t.exec in
-  if Array.length exec <> Array.length t.code then
-    errorf "predecoded engine not attached (use Predecode.attach)";
-  let n = Array.length exec in
-  let rec loop () =
-    match t.outcome with
-    | Some o -> o
-    | None ->
-        if t.fuel <= 0 then raise Out_of_fuel;
-        t.fuel <- t.fuel - 1;
-        let pc = t.pc in
-        if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-        (Array.unsafe_get exec pc) t;
-        loop ()
-  in
-  loop ()
-
-(* The fused hot loop: one closure call per basic block.  Fuel is
-   pre-paid per block; when the remaining fuel cannot cover a whole
-   block, the tail runs on the per-instruction predecoded closures so
-   that [Out_of_fuel] fires at the identical retirement count.  The
-   successor of a block is memoised in the block itself after its first
-   resolution (two slots, most-recent first), so hot loops chain
-   directly from block to block without consulting the dispatch
-   array. *)
-let run_fused t =
-  let blocks = t.blocks in
-  let exec = t.exec in
-  if
-    Array.length blocks <> Array.length t.code
-    || Array.length exec <> Array.length t.code
-  then errorf "fused engine not attached (use Fuse.attach)";
-  let n = Array.length t.code in
-  let resolve pc =
-    if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-    Array.unsafe_get blocks pc
-  in
-  let rec dispatch () =
-    match t.outcome with
-    | Some o -> o
-    | None -> (
-        let pc = t.pc in
-        match resolve pc with Some b -> enter b | None -> step_one pc)
-  and enter b =
-    if t.fuel >= b.b_steps then begin
-      t.fuel <- t.fuel - b.b_steps;
-      let pc = b.b_exec t in
-      if pc >= 0 then
-        match b.b_next1 with
-        | Some nb when nb.b_pc = pc -> enter nb
-        | _ -> (
-            match b.b_next2 with
-            | Some nb when nb.b_pc = pc -> enter nb
-            | _ -> (
-                match resolve pc with
-                | Some nb ->
-                    (* Most recent resolution takes the front slot; a
-                       two-successor branch then stabilises with both
-                       memoised and no further writes. *)
-                    b.b_next2 <- b.b_next1;
-                    b.b_next1 <- Some nb;
-                    enter nb
-                | None ->
-                    (* Non-leader entry: hand the pc back to the
-                       per-instruction engine, which keeps [t.pc]
-                       current itself. *)
-                    t.pc <- pc;
-                    step_one pc))
-      else
-        match t.outcome with
-        | Some o -> o
-        | None -> errorf "fused block stopped without an outcome"
-    end
-    else begin
-      (* Fuel tail: finish instruction by instruction so [Out_of_fuel]
-         fires at the identical retirement count.  [t.pc] may be stale
-         when arriving via direct chaining — re-materialise it from the
-         block about to (not) run. *)
-      t.pc <- b.b_pc;
-      step_one b.b_pc
-    end
-  and step_one pc =
-    if t.fuel <= 0 then raise Out_of_fuel;
-    t.fuel <- t.fuel - 1;
-    if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-    (Array.unsafe_get exec pc) t;
-    dispatch ()
-  in
-  dispatch ()
-
 (* Process-wide trace-engine instrumentation.  The run loop accumulates
    locally and flushes once per [run] call (in a [Fun.protect] finally,
    so an [Out_of_fuel] or abort-path exception still reports), keeping
@@ -647,31 +540,24 @@ let reset_trace_counters () =
   Atomic.set tt_form_ns_a 0;
   Atomic.set tt_form_words_a 0
 
-(* The traced hot loop: tier 1 is the fused block dispatch with two
-   additions — a per-leader heat/edge profile feeding trace formation,
-   and a trace lookup ahead of the block lookup so a formed trace
-   captures its path.  Tier 2 dispatches once per trace, chaining a loop
-   trace directly to itself through [tr_next].  Blocks do not use their
-   [b_next] memos here: chaining block-to-block would skip the trace
-   lookup at the successor, so tier 1 always returns to [goto].  Fuel
-   follows the fused protocol at each granularity: a trace pre-pays
-   [tr_steps] and falls back to block granularity when it cannot, a
-   block pre-pays [b_steps] and falls back to single instructions, so
-   [Out_of_fuel] fires at the identical retirement count. *)
-let run_traced t =
-  let ts =
-    match t.tstate with
-    | Some ts -> ts
-    | None -> errorf "traced engine not attached (use Trace.attach)"
-  in
+(* The traced hot loop: tier 1 is the fused block dispatch, with a
+   per-leader heat/edge profile feeding trace formation and a trace
+   lookup ahead of the block lookup so a formed trace captures its path.
+   Tier 2 dispatches once per trace, chaining a loop trace directly to
+   itself through [tr_next].  Blocks never chain block-to-block: that
+   would skip the trace lookup at the successor, so tier 1 always
+   returns to [goto].  Fuel is pre-paid at each granularity: a trace
+   pre-pays [tr_steps] and falls back to block granularity when it
+   cannot, a block pre-pays [b_steps] and falls back to the reference
+   [step], so [Out_of_fuel] fires at the identical retirement count.
+   [step] also runs the rare entries at a pc that leads no block (a
+   [rett] into the middle of a straight line). *)
+let run_traced t ts =
   let blocks = t.blocks in
-  let exec = t.exec in
   let n = Array.length t.code in
-  if
-    Array.length blocks <> n
-    || Array.length exec <> n
-    || Array.length ts.ts_traces <> n
-  then errorf "traced engine not attached (use Trace.attach)";
+  (* [Trace.attach] installs the blocks and the trace table together,
+     both sized to the code; the unchecked reads below rely on it. *)
+  assert (Array.length blocks = n && Array.length ts.ts_traces = n);
   let traces = ts.ts_traces and heat = ts.ts_heat in
   let succ1 = ts.ts_succ1
   and cnt1 = ts.ts_cnt1
@@ -716,7 +602,7 @@ let run_traced t =
         | Some b -> enter_block b
         | None ->
             t.pc <- pc;
-            step_one pc)
+            step_one ())
   and enter_trace tr =
     if t.fuel >= tr.tr_steps then begin
       incr entries;
@@ -753,7 +639,7 @@ let run_traced t =
       t.pc <- tr.tr_pc;
       match blocks.(tr.tr_pc) with
       | Some b -> exec_block b
-      | None -> step_one tr.tr_pc
+      | None -> step_one ()
     end
   and enter_block b =
     let bpc = b.b_pc in
@@ -788,13 +674,13 @@ let run_traced t =
     end
     else begin
       t.pc <- b.b_pc;
-      step_one b.b_pc
+      step_one ()
     end
-  and step_one pc =
+  and step_one () =
+    (* [t.pc] is current: every caller sets it first. *)
     if t.fuel <= 0 then raise Out_of_fuel;
     t.fuel <- t.fuel - 1;
-    if pc < 0 || pc >= n then errorf "pc out of range: %d" pc;
-    (Array.unsafe_get exec pc) t;
+    step t;
     dispatch ()
   in
   Fun.protect
@@ -808,8 +694,6 @@ let run_traced t =
     dispatch
 
 let run t =
-  match t.engine with
-  | `Reference -> run_reference t
-  | `Predecoded -> run_predecoded t
-  | `Fused -> run_fused t
-  | `Traced -> run_traced t
+  match t.tstate with
+  | None -> run_reference t
+  | Some ts -> run_traced t ts

@@ -4,23 +4,21 @@
     squashed slots, trap overhead) — all of them visible to the paper's
     cycle accounting.
 
-    Three execution engines share this state:
+    Two execution engines share this state, and {!run} picks one from
+    what is attached to the machine:
     - [`Reference]: the original interpreter, re-decoding every retired
-      instruction ({!step} in a loop);
-    - [`Predecoded]: each image entry is compiled once into a closure by
-      {!Predecode.attach}; {!run} then performs an array-indexed closure
-      call per instruction;
-    - [`Fused]: straight-line runs of pre-decoded instructions are fused
-      into basic-block closures by {!Fuse.attach}; {!run} then dispatches
-      once per block, with statically-knowable statistics pre-summed and
-      successor blocks chained directly;
-    - [`Traced]: fused blocks run under a block-entry/edge heat profile
-      ({!Trace.attach}); hot paths are promoted to superblock traces —
-      one straight-line closure spanning several blocks with a single
-      pre-summed statistics delta and guarded side exits that roll back
-      to exact per-block accounting.  All engines must produce
-      bit-identical {!Stats.t} (enforced by the differential engine
-      suite). *)
+      instruction ({!step} in a loop) — the semantic oracle, and what
+      {!run} does on a machine without trace-engine state;
+    - [`Traced]: once {!Trace.attach} has installed fused basic-block
+      closures ({!Fuse}) and the trace-engine state, {!run} dispatches
+      once per block under a block-entry/edge heat profile and promotes
+      hot paths to superblock traces — one straight-line closure
+      spanning several blocks with a single pre-summed statistics delta
+      and guarded side exits that roll back to exact per-block
+      accounting.  Fuel tails and entries at non-leaders fall back to
+      {!step}.
+    Both engines must produce bit-identical {!Stats.t} (enforced by the
+    differential engine suite and the fuzzer). *)
 
 module Insn := Tagsim_mipsx.Insn
 module Image := Tagsim_asm.Image
@@ -42,8 +40,10 @@ type hw = {
 
 type outcome = Halted of int | Aborted of int
 
-(** Execution engine selector (see the module header). *)
-type engine = [ `Reference | `Predecoded | `Fused | `Traced ]
+(** Engine names (see the module header): what the CLI, the
+    measurement keys and the fuzzer select.  {!run} itself dispatches on
+    the attached state. *)
+type engine = [ `Reference | `Traced ]
 
 (** {1 Engine registry}
 
@@ -51,14 +51,14 @@ type engine = [ `Reference | `Predecoded | `Fused | `Traced ]
 
 val engine_name : engine -> string
 
-(** All engines, in reference-to-fastest order. *)
+(** Both engines, the reference first. *)
 val engine_all : engine list
 
 (** Inverse of {!engine_name}; [None] for an unknown name. *)
 val engine_by_name : string -> engine option
 
-(** The machine state.  The record is exposed so that {!Predecode} and
-    {!Fuse} can compile closures that operate on it directly; treat it
+(** The machine state.  The record is exposed so that {!Fuse} and
+    {!Trace} can compile closures that operate on it directly; treat it
     as read-only outside [lib/sim] and use the accessors below. *)
 type t = {
   hw : hw;
@@ -83,29 +83,22 @@ type t = {
   mutable outcome : outcome option;
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
-  engine : engine;
-  mutable exec : exec_fn array; (* installed by Predecode.attach *)
   mutable blocks : block option array; (* installed by Fuse.attach *)
-  mutable tstate : tstate option; (* installed by Trace.attach *)
+  mutable tstate : tstate option;
+      (* installed by Trace.attach; [None] runs the reference loop *)
 }
-
-and exec_fn = t -> unit
 
 (** A fused basic block (built by {!Fuse.attach}): [b_exec] retires the
     whole straight-line run — including the terminator's delay slots —
     in one call and returns the successor pc (negative once the outcome
-    is decided), [b_steps] top-level retirements of fuel are pre-paid by
-    the run loop (slots ride their branch's retirement), and the
-    [b_next] slots memoise successor blocks for direct chaining.  A memo
-    hit is validated against the immutable [b_pc], so a stale or torn
-    read can only miss, never mis-chain: block arrays are shareable
-    across domains. *)
+    is decided), and [b_steps] top-level retirements of fuel are
+    pre-paid by the run loop (slots ride their branch's retirement).
+    Blocks are immutable, so block arrays are shareable across
+    domains. *)
 and block = {
   b_pc : int; (* leader address of this block *)
   b_steps : int;
   b_exec : t -> int;
-  mutable b_next1 : block option;
-  mutable b_next2 : block option;
 }
 
 (** Trace-engine state (built by {!Trace.attach}): per-leader entry
@@ -139,7 +132,7 @@ and tstate = {
     exact per-block values), or a negative value once the outcome is
     decided.  [tr_next] memoises the trace at [tr_exit] for direct
     chaining (a loop trace chains to itself), validated against the
-    immutable [tr_pc] like block memos. *)
+    immutable [tr_pc], so a stale or torn read can only miss. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_blocks : int;
@@ -161,7 +154,9 @@ val err_user_base : int
 
 (** {1 Lifecycle} *)
 
-val create : ?fuel:int -> ?engine:engine -> hw:hw -> Image.t -> t
+(** A machine with nothing attached: {!run} interprets it with the
+    reference loop until {!Trace.attach} installs the traced engine. *)
+val create : ?fuel:int -> hw:hw -> Image.t -> t
 
 (** Register the trap handlers for hardware generic arithmetic. *)
 val set_gen_handlers : t -> add:int -> sub:int -> unit
@@ -185,8 +180,8 @@ val poke : t -> int -> int -> unit
 
 (** {1 Shared instruction semantics}
 
-    Used by both the reference interpreter and the pre-decoder, so the
-    two engines cannot drift. *)
+    Used by both the reference interpreter and the block compiler, so
+    the two engines cannot drift. *)
 
 val read_word : t -> int -> int
 val write_word : t -> int -> int -> unit
@@ -197,12 +192,14 @@ val abort : t -> int -> unit
 val errorf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Execute one instruction (including its delay slots), by re-decoding
-    it: this is the reference engine's step and works on any machine. *)
+    it: this is the reference engine's step, and the traced engine's
+    fallback for fuel tails and non-leader entries. *)
 val step : t -> unit
 
 exception Out_of_fuel
 
-(** Run to completion with the machine's engine. *)
+(** Run to completion: the traced loop when {!Trace.attach} has
+    installed trace-engine state, the reference loop otherwise. *)
 val run : t -> outcome
 
 (** {1 Trace-engine instrumentation}

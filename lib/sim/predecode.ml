@@ -1,16 +1,15 @@
-(** The pre-decoded execution engine.
+(** Per-instruction closures for the delay slots that fusion cannot
+    fuse.
 
-    [attach] compiles each {!Tagsim_asm.Image.entry} of a machine's code
-    once into a closure [Machine.t -> unit] with everything that the
+    [compile_simple] compiles one {!Tagsim_asm.Image.entry} in a delay
+    slot into a closure [Machine.t -> unit] with everything that the
     reference interpreter recomputes per retired instruction resolved at
-    decode time: operand registers, ALU cycle costs, wide-immediate
-    charges ({!Tagsim_mipsx.Word.imm_cycles}), the dense
-    {!Stats.slot} index of the annotation, the instruction-class index,
-    the registers probed by the load-use interlock check, and the
-    delay-slot closures of every branch.  [Machine.run] on a
-    [`Predecoded] machine then retires an instruction with one
-    array-indexed closure call instead of re-pattern-matching
-    {!Tagsim_mipsx.Insn.t}.
+    compile time: operand registers, ALU cycle costs, wide-immediate charges
+    ({!Tagsim_mipsx.Word.imm_cycles}), the dense {!Stats.slot} index of
+    the annotation, the instruction-class index and the registers probed
+    by the load-use interlock check.  {!Fuse} runs the delay slots it
+    cannot fuse through these closures, and shares the pre-resolved
+    [alu_fn]/[cond_fn] evaluators.
 
     The closures must replicate the reference semantics {e exactly},
     statistics included: the engine differential suite asserts
@@ -19,7 +18,6 @@
 
 module M = Machine
 module Insn = Tagsim_mipsx.Insn
-module Annot = Tagsim_mipsx.Annot
 module Reg = Tagsim_mipsx.Reg
 module Word = Tagsim_mipsx.Word
 module Image = Tagsim_asm.Image
@@ -90,11 +88,10 @@ let cond_fn (c : Insn.cond) =
   | Insn.Gt -> fun a b -> Word.to_signed a > Word.to_signed b
   | Insn.Le -> fun a b -> Word.to_signed a <= Word.to_signed b
 
-(* --- Non-control bodies (mirror [Machine.exec_simple], without the pc
-   advance, so the same closure serves both straight-line execution and
-   delay slots). --- *)
+(* --- Delay-slot bodies (mirror [Machine.exec_simple] with [in_slot]
+   set, without the pc advance). --- *)
 
-let compile_simple (hw : M.hw) (e : Image.entry) : M.exec_fn =
+let compile_simple (hw : M.hw) (e : Image.entry) : M.t -> unit =
   let insn = e.Image.insn in
   let si = Stats.slot e.Image.annot in
   let ki = Insn.klass_index (Insn.klass insn) in
@@ -205,12 +202,9 @@ let compile_simple (hw : M.hw) (e : Image.entry) : M.exec_fn =
         if addr < 0 then M.abort t M.err_type
         else M.write_word t addr t.M.regs.(rt)
   | Insn.Add_gen (rd, rs, rt) | Insn.Sub_gen (rd, rs, rt) ->
+      (* A delay slot cannot take the resumable trap: the reference
+         stops with a machine error instead. *)
       let is_add = match insn with Insn.Add_gen _ -> true | _ -> false in
-      let garith_si =
-        Stats.slot
-          (Annot.make ~checking:e.Image.annot.Annot.checking Annot.Garith)
-      in
-      let overhead = hw.M.trap_overhead in
       let is_int = hw.M.is_int_item in
       let overflowed = hw.M.gen_overflowed in
       fun t ->
@@ -219,29 +213,10 @@ let compile_simple (hw : M.hw) (e : Image.entry) : M.exec_fn =
         charge t si 1;
         let a = t.M.regs.(rs) and b = t.M.regs.(rt) in
         let result = if is_add then Word.add a b else Word.sub a b in
-        let ok = is_int a && is_int b && not (overflowed a b result) in
-        if ok then begin
+        if is_int a && is_int b && not (overflowed a b result) then begin
           if rd <> Reg.zero then t.M.regs.(rd) <- result
         end
-        else if t.M.in_slot then
-          M.errorf "generic-arithmetic trap in a delay slot at pc %d" t.M.pc
-        else
-          let handler =
-            if is_add then t.M.gen_add_handler else t.M.gen_sub_handler
-          in
-          if handler < 0 then M.abort t M.err_type
-          else begin
-            let s = t.M.stats in
-            s.Stats.traps <- s.Stats.traps + 1;
-            s.Stats.trap_cycles <- s.Stats.trap_cycles + overhead;
-            charge t garith_si overhead;
-            t.M.regs.(Reg.tr0) <- a;
-            t.M.regs.(Reg.tr1) <- b;
-            t.M.trap_dest <- rd;
-            t.M.regs.(Reg.epc) <- t.M.pc + 1;
-            t.M.pc <- handler - 1
-            (* -1: the caller advances pc by one. *)
-          end
+        else M.errorf "generic-arithmetic trap in a delay slot at pc %d" t.M.pc
   | Insn.Settd rs ->
       fun t ->
         interlock t r1 r2;
@@ -256,127 +231,3 @@ let compile_simple (hw : M.hw) (e : Image.entry) : M.exec_fn =
   | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _ | Insn.Jal _ | Insn.Jr _
   | Insn.Jalr _ | Insn.Rett | Insn.Trap _ | Insn.Halt ->
       fun t -> M.errorf "control instruction in a delay slot at pc %d" t.M.pc
-
-(* --- Step closures (mirror [Machine.step]).  Control instructions
-   capture the [compile_simple] closures of their two delay slots. --- *)
-
-let compile_step (hw : M.hw) (simple : M.exec_fn array) i (e : Image.entry) :
-    M.exec_fn =
-  let insn = e.Image.insn in
-  let si = Stats.slot e.Image.annot in
-  let ki = Insn.klass_index (Insn.klass insn) in
-  let r1, r2 = read_regs insn in
-  let n = Array.length simple in
-  (* Mirrors [Machine.fetch] failing on a slot past the end of code. *)
-  let slot j : M.exec_fn =
-    if j < 0 || j >= n then fun _ -> M.errorf "pc out of range: %d" j
-    else simple.(j)
-  in
-  let s1 = slot (i + 1) and s2 = slot (i + 2) in
-  let exec_slots (t : M.t) =
-    t.M.in_slot <- true;
-    s1 t;
-    if t.M.outcome = None then s2 t;
-    t.M.in_slot <- false
-  in
-  let squash_slots (t : M.t) =
-    let s = t.M.stats in
-    s.Stats.squashed <- s.Stats.squashed + 2;
-    s.Stats.cycles <- s.Stats.cycles + 2;
-    s.Stats.kind_cycles.(si) <- s.Stats.kind_cycles.(si) + 2
-  in
-  let branch_to (t : M.t) ~taken ~squash target =
-    interlock t r1 r2;
-    count t ki;
-    charge t si 1;
-    if squash && not taken then squash_slots t else exec_slots t;
-    if t.M.outcome = None then
-      t.M.pc <- (if taken then target else t.M.pc + 3)
-  in
-  match insn with
-  | Insn.B (b, target) ->
-      let cmp = cond_fn b.Insn.cond in
-      let rs = b.Insn.rs and rt = b.Insn.rt and squash = b.Insn.squash in
-      fun t ->
-        let taken = cmp t.M.regs.(rs) t.M.regs.(rt) in
-        branch_to t ~taken ~squash target
-  | Insn.Bi (b, target) ->
-      let cmp = cond_fn b.Insn.bi_cond in
-      let rs = b.Insn.bi_rs and squash = b.Insn.bi_squash in
-      let immw = Word.of_int b.Insn.bi_imm in
-      fun t ->
-        let taken = cmp t.M.regs.(rs) immw in
-        branch_to t ~taken ~squash target
-  | Insn.Btag (b, target) ->
-      let shift = hw.M.tag_shift and width = hw.M.tag_width in
-      let rs = b.Insn.bt_rs and squash = b.Insn.bt_squash in
-      let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-      fun t ->
-        let got = Word.field ~shift ~width t.M.regs.(rs) in
-        let taken = if neg then got <> tag else got = tag in
-        branch_to t ~taken ~squash target
-  | Insn.J target -> fun t -> branch_to t ~taken:true ~squash:false target
-  | Insn.Jal target ->
-      fun t ->
-        M.set_reg t Reg.ra (t.M.pc + 3);
-        branch_to t ~taken:true ~squash:false target
-  | Insn.Jr rs ->
-      fun t ->
-        let target = t.M.regs.(rs) in
-        branch_to t ~taken:true ~squash:false target
-  | Insn.Jalr rs ->
-      fun t ->
-        let target = t.M.regs.(rs) in
-        M.set_reg t Reg.ra (t.M.pc + 3);
-        branch_to t ~taken:true ~squash:false target
-  | Insn.Rett ->
-      fun t ->
-        interlock t r1 r2;
-        count t ki;
-        charge t si 1;
-        t.M.pc <- t.M.regs.(Reg.epc)
-  | Insn.Trap code ->
-      let abort_code = M.err_user_base + code in
-      fun t ->
-        interlock t r1 r2;
-        count t ki;
-        charge t si 1;
-        M.abort t abort_code
-  | Insn.Halt ->
-      fun t ->
-        count t ki;
-        charge t si 1;
-        t.M.outcome <- Some (M.Halted t.M.regs.(Reg.v0))
-  | Insn.Alu _ | Insn.Alui _ | Insn.Li _ | Insn.La _ | Insn.Mv _ | Insn.Ld _
-  | Insn.St _ | Insn.Add_gen _ | Insn.Sub_gen _ | Insn.Settd _ | Insn.Nop ->
-      let body = simple.(i) in
-      fun t ->
-        body t;
-        t.M.pc <- t.M.pc + 1
-
-let compile (m : M.t) : M.exec_fn array =
-  let hw = m.M.hw in
-  let simple = Array.map (compile_simple hw) m.M.code in
-  Array.mapi (fun i e -> compile_step hw simple i e) m.M.code
-
-(** Compile the machine's code and install the closure array; idempotent.
-    The closures capture the machine's hardware configuration, so they
-    are attached to (and only valid for) machines sharing it.
-
-    The staleness test must be on array {e lengths} only: [exec] starts
-    out as the shared empty atom, and compiling an empty code image
-    yields that same atom, so a structural [m.exec = [||]] guard is true
-    for every empty-code machine even after a successful attach and
-    recompiles it on every call.  A compiled array has the code's length
-    by construction (physically distinct from the initial [[||]] exactly
-    when the image is non-empty), so a length mismatch is the one
-    condition under which compilation is actually missing. *)
-let attach (m : M.t) =
-  if Array.length m.M.exec <> Array.length m.M.code then m.M.exec <- compile m
-
-(** Convenience: a machine created with the pre-decoded engine already
-    attached. *)
-let create ?fuel ~hw image =
-  let m = M.create ?fuel ~engine:`Predecoded ~hw image in
-  attach m;
-  m

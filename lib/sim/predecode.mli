@@ -1,34 +1,25 @@
-(** The pre-decoded execution engine: compiles each image entry once
-    into a closure with operands, cycle costs, annotation slot indices
-    and immediate-width charges resolved at decode time, so that
-    [Machine.run] on a [`Predecoded] machine retires an instruction with
-    one array-indexed closure call.  Produces bit-identical {!Stats.t}
-    to the reference interpreter (enforced by the engine differential
-    suite). *)
+(** Per-instruction closures for delay-slot instructions, with
+    operands, cycle costs, annotation slot indices and immediate-width
+    charges resolved once at compile time.  {!Fuse} runs the delay slots
+    it cannot fuse through them and shares the pre-resolved evaluators,
+    so the block compiler and the reference interpreter cannot drift
+    (enforced by the engine differential suite). *)
 
 module Image := Tagsim_asm.Image
 module Insn := Tagsim_mipsx.Insn
 
-(** Build the closure array for a machine's code (exposed for tests;
-    normally use {!attach}). *)
-val compile : Machine.t -> Machine.exec_fn array
-
-(** Compile one non-control instruction into its body closure (no pc
-    advance).  Shared with {!Fuse}, which uses it for the delay-slot
-    closures of fused block terminators. *)
-val compile_simple : Machine.hw -> Image.entry -> Machine.exec_fn
+(** Compile the instruction in a delay slot into its body closure (no
+    pc advance), mirroring [Machine.exec_simple] in a slot: a control
+    instruction, or a generic-arithmetic instruction that would trap,
+    stops with [Machine_error]. *)
+val compile_simple : Machine.hw -> Image.entry -> Machine.t -> unit
 
 (** Pre-resolved evaluators (mirror {!Machine.alu_eval} and
-    {!Machine.cond_eval} with the constructor dispatch done once).
-    Shared with {!Fuse} so the engines cannot drift. *)
+    {!Machine.cond_eval} with the constructor dispatch done once). *)
 val alu_fn : Insn.alu -> int -> int -> int
 
 val cond_fn : Insn.cond -> int -> int -> bool
 
-(** Compile the machine's code and install the closure array on the
-    machine; idempotent.  Required before [Machine.run] on a machine
-    created with [~engine:`Predecoded]. *)
-val attach : Machine.t -> unit
-
-(** Convenience: [Machine.create ~engine:`Predecoded] plus {!attach}. *)
-val create : ?fuel:int -> hw:Machine.hw -> Image.t -> Machine.t
+(** Registers read by an instruction as a pre-resolved pair (at most
+    two; -1 = none). *)
+val read_regs : int Insn.t -> int * int

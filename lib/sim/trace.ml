@@ -10,7 +10,7 @@
     bimodal edge, or the length bound.  The expected path is compiled
     exactly like a fused block, only longer: one instruction-level
     continuation chain whose statically-knowable statistics — including
-    the cross-junction delay-slot interlocks that the fused engine must
+    the cross-junction delay-slot interlocks that tier-1 fused blocks must
     probe dynamically, and the annul accounting of squashing branches
     the path falls through — are pre-summed into a single delta applied
     once on trace entry.
@@ -29,7 +29,7 @@
     refunds.  The result is bit-identical {!Stats.t}, abort codes and
     fuel trajectory — [Out_of_fuel] tail included, because a trace
     pre-pays its retirements like a block does and falls back to block
-    granularity when fuel runs short (enforced by the four-way engine
+    granularity when fuel runs short (enforced by the engine
     differential suite). *)
 
 module M = Machine
@@ -477,8 +477,8 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   in
   (* The cross-junction in-flight load reaching segment [i]'s first
      instruction — statically the previous junction's second delay slot
-     (annulled slots leave none).  The trace entry keeps the fused
-     engine's one dynamic probe instead. *)
+     (annulled slots leave none).  The trace entry keeps a fused
+     block's one dynamic probe instead. *)
   let cross_prev i =
     if i = 0 then None
     else if slots_run (i - 1) then Some segs.(i - 1).sg_s2
@@ -746,8 +746,3 @@ let attach ?(threshold = default_threshold) (m : M.t) =
             M.ts_plans = [];
             M.ts_dirty = false;
           }
-
-let create ?fuel ?threshold ~hw image =
-  let m = M.create ?fuel ~engine:`Traced ~hw image in
-  attach ?threshold m;
-  m

@@ -10,10 +10,10 @@
     accounting statically resolved, never-trapping operations
     specialised with their operators inlined — and guarded side exits
     that roll statistics and fuel back to the exact per-block values.
-    [Machine.run] on a [`Traced] machine dispatches once per trace on
+    [Machine.run] on an attached machine dispatches once per trace on
     hot paths and stays bit-identical to the reference interpreter,
-    [Out_of_fuel] tail included (enforced by the four-way engine
-    differential suite).  Each formed trace is also recorded as a pure
+    [Out_of_fuel] tail included (enforced by the engine differential
+    suite).  Each formed trace is also recorded as a pure
     data {!Plan.trace} in [Machine.ts_plans]; traces are formed online
     in every process and never persisted. *)
 
@@ -26,15 +26,12 @@ val default_threshold : int
 (** Superblock length bound, in blocks. *)
 val max_segments : int
 
-(** Install the fused engine (via {!Fuse.attach}) and the trace-engine
+(** Install the fused blocks (via {!Fuse.attach}) and the trace-engine
     state — heat and edge-profile counters and the (initially empty)
     trace table — on the machine; idempotent and length-guarded like
-    the other engines' attach.  Required before [Machine.run] on a
-    machine created with [~engine:`Traced].  The state may be shared
-    between machines running the same image: formed traces are
-    validated like block memos, and racy profile updates only delay or
-    repeat formation. *)
+    {!Fuse.attach}.  From then on [Machine.run] runs the traced engine
+    instead of the reference loop.  The state may be shared between
+    machines running the same image: a memoised trace is validated
+    before it runs, and racy profile updates only delay or repeat
+    formation. *)
 val attach : ?threshold:int -> Machine.t -> unit
-
-(** Convenience: [Machine.create ~engine:`Traced] plus {!attach}. *)
-val create : ?fuel:int -> ?threshold:int -> hw:Machine.hw -> Image.t -> Machine.t

@@ -74,9 +74,9 @@ let test_engine_agnostic () =
       let ref_m = Run.run_config (config ~engine:`Reference ()) in
       Run.clear_cache ();
       let before = Run.simulations () in
-      let fused_m = Run.run_config (config ~engine:`Fused ()) in
+      let traced_m = Run.run_config (config ~engine:`Traced ()) in
       Alcotest.(check int) "served from store" before (Run.simulations ());
-      check_measurement_equal "cross-engine" ref_m fused_m)
+      check_measurement_equal "cross-engine" ref_m traced_m)
 
 (* --- corrupt and truncated entries fall back to recompute --- *)
 

@@ -202,8 +202,8 @@ let test_campaign_deterministic () =
 
 (* --- the fixed-seed smoke campaign ---
 
-   25 real programs through the real oracle on the smoke matrix (all
-   four engines, both backends, both opt levels, high5 + full software
+   25 real programs through the real oracle on the smoke matrix (both
+   engines, both backends, both opt levels, high5 + full software
    checking).  Any divergence here is a product bug. *)
 let test_smoke_campaign () =
   let report =

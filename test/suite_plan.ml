@@ -69,8 +69,8 @@ let test_planner_dedup () =
 (* --- golden numbers: full plan, reference engine, reduced suite --- *)
 
 (* Locked headline values for the inter+trav suite under the reference
-   engine (all engines are bit-identical, so these also lock the
-   predecoded and fused engines through the differential suite).  If a
+   engine (both engines are bit-identical, so these also lock the
+   traced engine through the differential suite).  If a
    legitimate cost-model change moves them, re-derive with:
      Planner.plan ~jobs:1 ~engine:`Reference
        ~entries:(inter+trav) Planner.artifacts *)
@@ -141,7 +141,7 @@ let test_csv_emitter () =
 
 let test_results_json_shape () =
   (* The RESULTS.json wrapper over an (empty-suite-free) cheap plan:
-     table3 only, two programs, fused engine. *)
+     table3 only, two programs, traced engine. *)
   let entries = entries_named [ "inter"; "deduce" ] in
   let rendered =
     Planner.plan ~jobs:1 ~entries [ Option.get (Planner.find "table3") ]
