@@ -35,7 +35,17 @@
     update.  Register-indirect jumps latch their target in
     [Machine.jump_target] before the slots run (a slot may clobber the
     register).  Slots ride their branch's top-level retirement, so they
-    consume no fuel of their own.
+    consume no fuel of their own.  A branch whose slots are not simple,
+    or run off the end of code, is never fused: the block stops just
+    before it (a leader on such a branch gets no block at all), and the
+    traced run loop steps the branch and its slots on the reference
+    [Machine.step], which defines them exactly.  Compiler-produced code
+    never builds such slots; only raw images do.
+
+    One compiler, {!compile_op}, turns each simple instruction into its
+    closure for both tiers, with the operator of a never-trapping
+    operation inlined; {!cond_test} likewise compiles every branch
+    condition, for block terminators and trace guards alike.
 
     The per-step [pending_load] interlock probe survives only at block
     entry (the previous block may end in a load); everywhere else it is
@@ -316,7 +326,14 @@ let interlock_stats (t : M.t) =
   s.Stats.insns <- s.Stats.insns + 1;
   s.Stats.klass_insns.(nop_klass) <- s.Stats.klass_insns.(nop_klass) + 1
 
-let read_regs = Predecode.read_regs
+(* Registers read by an instruction as a pre-resolved pair (at most two;
+   -1 = none), replacing the per-retirement [Insn.reads] list. *)
+let read_regs (insn : int Insn.t) =
+  match Insn.reads insn with
+  | [] -> (-1, -1)
+  | [ r ] -> (r, -1)
+  | [ r1; r2 ] -> (r1, r2)
+  | _ -> assert false
 
 (* Statically-resolved load-use dependence: does [next] read the
    destination of a preceding load [prev]?  (Only a load leaves
@@ -340,25 +357,25 @@ let squash_of (e : Image.entry) =
 
 type terminator = Ctl of int * Image.entry | Fall of int
 
-(* How the terminator's two delay slots are handled: [No_slots] for the
-   slotless control instructions, [Fused] when both slot instructions
-   are simple enough to fuse into the block, [Dynamic] otherwise (a slot
-   holds a control or generic-arithmetic instruction, or runs off the
-   end of code) — then the slots execute through the per-instruction
-   slot closures of {!Predecode.compile_simple}. *)
-type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic
-
 (* The static layout of the block led by an address: where the
-   straight-line run stops, its terminator (if it does not fall off the
-   end of code), and how the terminator's delay slots behave.  Shared
-   with the trace compiler, which walks block shapes along the hot path
-   instead of re-deriving them. *)
+   straight-line run stops, its terminator, and the terminator's two
+   delay slots ([None] for the slotless control instructions).  A block
+   has no terminator when it falls off the end of code, or when it stops
+   before a branch whose slots cannot be fused (a slot holds a control
+   or generic-arithmetic instruction, or lies past the end of code).
+   Shared with the trace compiler, which walks block shapes along the
+   hot path instead of re-deriving them. *)
 type shape = {
-  sh_stop : int; (* first control instruction at/after the leader *)
-  sh_term : Image.entry option; (* None: the block falls off code *)
-  sh_slots : ctl_slots;
+  sh_stop : int; (* the terminator, or the first address past the block *)
+  sh_term : Image.entry option; (* None: the block ends at [sh_stop] *)
+  sh_slots : (Image.entry * Image.entry) option;
   sh_squash : bool;
 }
+
+let fusible (e : Image.entry) =
+  match e.Image.insn with
+  | Insn.Add_gen _ | Insn.Sub_gen _ -> false
+  | i -> not (Insn.is_control i)
 
 let shape (m : M.t) l =
   let code = m.M.code in
@@ -367,26 +384,25 @@ let shape (m : M.t) l =
     if j >= n || Insn.is_control code.(j).Image.insn then j else scan (j + 1)
   in
   let stop = scan l in
-  let term = if stop < n then Some code.(stop) else None in
-  let slots =
-    match term with
-    | Some e -> (
-        match e.Image.insn with
-        | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _ | Insn.Jal _
-        | Insn.Jr _ | Insn.Jalr _ ->
-            let fusible (se : Image.entry) =
-              match se.Image.insn with
-              | Insn.Add_gen _ | Insn.Sub_gen _ -> false
-              | i -> not (Insn.is_control i)
-            in
-            if stop + 2 < n && fusible code.(stop + 1) && fusible code.(stop + 2)
-            then Fused (code.(stop + 1), code.(stop + 2))
-            else Dynamic
-        | _ -> No_slots)
-    | None -> No_slots
+  let no_term =
+    { sh_stop = stop; sh_term = None; sh_slots = None; sh_squash = false }
   in
-  let squash = match term with Some e -> squash_of e | None -> false in
-  { sh_stop = stop; sh_term = term; sh_slots = slots; sh_squash = squash }
+  if stop >= n then no_term
+  else
+    let e = code.(stop) in
+    match e.Image.insn with
+    | Insn.Rett | Insn.Trap _ | Insn.Halt ->
+        { no_term with sh_term = Some e }
+    | _ (* a branch or jump, with two delay slots *) ->
+        if stop + 2 < n && fusible code.(stop + 1) && fusible code.(stop + 2)
+        then
+          {
+            sh_stop = stop;
+            sh_term = Some e;
+            sh_slots = Some (code.(stop + 1), code.(stop + 2));
+            sh_squash = squash_of e;
+          }
+        else no_term
 
 let leaders (m : M.t) =
   let code = m.M.code in
@@ -416,10 +432,9 @@ let leaders (m : M.t) =
     code;
   leader
 
-(* Effective data address, mirroring [Machine.effective] /
-   [Predecode.compile_simple] but with the instruction's code address
-   resolved statically for the fault message ([t.pc] is stale inside a
-   fused body); returns -1 for a type trap. *)
+(* Effective data address, mirroring [Machine.effective] but with the
+   instruction's code address resolved statically for the fault message
+   ([t.pc] is stale inside a fused body); returns -1 for a type trap. *)
 let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off =
   let offw = Word.of_int off in
   let mem_bytes = hw.M.mem_bytes in
@@ -474,9 +489,48 @@ let contribution (prev : Image.entry option) (e : Image.entry) : ustat =
     ~klass:(Insn.klass_index (Insn.klass insn))
     ~slot:(Stats.slot e.Image.annot) cycles
 
+(* The condition of a conditional branch, pre-resolved with the
+   comparison inlined (mirrors [Machine.cond_eval] and the [Btag] tag
+   test). *)
+let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
+  match e.Image.insn with
+  | Insn.B (b, _) -> (
+      let rs = b.Insn.rs and rt = b.Insn.rt in
+      match b.Insn.cond with
+      | Insn.Eq -> fun t -> t.M.regs.(rs) = t.M.regs.(rt)
+      | Insn.Ne -> fun t -> t.M.regs.(rs) <> t.M.regs.(rt)
+      | Insn.Lt ->
+          fun t -> Word.to_signed t.M.regs.(rs) < Word.to_signed t.M.regs.(rt)
+      | Insn.Ge ->
+          fun t -> Word.to_signed t.M.regs.(rs) >= Word.to_signed t.M.regs.(rt)
+      | Insn.Gt ->
+          fun t -> Word.to_signed t.M.regs.(rs) > Word.to_signed t.M.regs.(rt)
+      | Insn.Le ->
+          fun t -> Word.to_signed t.M.regs.(rs) <= Word.to_signed t.M.regs.(rt))
+  | Insn.Bi (b, _) -> (
+      let rs = b.Insn.bi_rs in
+      let immw = Word.of_int b.Insn.bi_imm in
+      let imms = Word.to_signed immw in
+      match b.Insn.bi_cond with
+      | Insn.Eq -> fun t -> t.M.regs.(rs) = immw
+      | Insn.Ne -> fun t -> t.M.regs.(rs) <> immw
+      | Insn.Lt -> fun t -> Word.to_signed t.M.regs.(rs) < imms
+      | Insn.Ge -> fun t -> Word.to_signed t.M.regs.(rs) >= imms
+      | Insn.Gt -> fun t -> Word.to_signed t.M.regs.(rs) > imms
+      | Insn.Le -> fun t -> Word.to_signed t.M.regs.(rs) <= imms)
+  | Insn.Btag (b, _) ->
+      let shift = hw.M.tag_shift and width = hw.M.tag_width in
+      let rs = b.Insn.bt_rs in
+      let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
+      if neg then fun t -> Word.field ~shift ~width t.M.regs.(rs) <> tag
+      else fun t -> Word.field ~shift ~width t.M.regs.(rs) = tag
+  | _ -> assert false
+
 (* Compile one simple instruction into a closure that does only the
    genuinely dynamic work and tail-calls [next]; no-ops and writes to
-   the zero register compile to [next] itself.  [suffix] holds the
+   the zero register compile to [next] itself, and a never-trapping
+   operation has its operator inlined (no indirect evaluator call on
+   the hot path).  [suffix] holds the
    statistics pre-summed for every unit after this one.  An instruction
    that can leave early snapshots its undo delta from it here, at
    compile time; on a dynamic exit the closure undoes that delta,
@@ -490,49 +544,152 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
   in
   match insn with
   | Insn.Nop -> next
-  | Insn.Alu (op, rd, rs, rt) -> (
-      let ev = Predecode.alu_fn op in
-      match op with
-      | Insn.Div | Insn.Rem ->
-          (* The charge is pre-summed for the success path; a division
-             by zero aborts before charging, so the undo of the suffix
-             also takes back this instruction's own cycles. *)
-          let u =
-            compress_charged suffix (Stats.slot e.Image.annot)
-              (M.alu_cycles op)
-          in
-          fun t ->
-            let b = t.M.regs.(rt) in
-            if b = 0 then begin
-              exit_early u t;
-              M.abort t M.err_div0;
-              stopped
-            end
-            else begin
-              if rd <> Reg.zero then
-                t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) b);
-              next t
-            end
-      | _ ->
-          if rd = Reg.zero then next
-          else fun t ->
-            t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) t.M.regs.(rt));
-            next t)
-  | Insn.Alui (op, rd, rs, imm) ->
-      if (op = Insn.Div || op = Insn.Rem) && imm = 0 then
-        (* Never charged, so the undo is the plain suffix. *)
-        let u = compress suffix in
-        fun t ->
+  | Insn.Alu (((Insn.Div | Insn.Rem) as op), rd, rs, rt) ->
+      (* The charge is pre-summed for the success path; a division by
+         zero aborts before charging, so the undo of the suffix also
+         takes back this instruction's own cycles. *)
+      let u =
+        compress_charged suffix (Stats.slot e.Image.annot) (M.alu_cycles op)
+      in
+      let ev = if op = Insn.Div then Word.div else Word.rem in
+      fun t ->
+        let b = t.M.regs.(rt) in
+        if b = 0 then begin
           exit_early u t;
           M.abort t M.err_div0;
           stopped
-      else if rd = Reg.zero then next
-      else
-        let ev = Predecode.alu_fn op in
-        let immw = Word.of_int imm in
-        fun t ->
-          t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) immw);
+        end
+        else begin
+          if rd <> Reg.zero then
+            t.M.regs.(rd) <- Word.of_int (ev t.M.regs.(rs) b);
           next t
+        end
+  | Insn.Alui ((Insn.Div | Insn.Rem), _, _, 0) ->
+      (* Never charged, so the undo is the plain suffix. *)
+      let u = compress suffix in
+      fun t ->
+        exit_early u t;
+        M.abort t M.err_div0;
+        stopped
+  | Insn.Alu (_, rd, _, _) | Insn.Alui (_, rd, _, _) when rd = Reg.zero -> next
+  | Insn.Alu (op, rd, rs, rt) -> (
+      match op with
+      | Insn.Add ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Sub ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.And ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.logand t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Or ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.logor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Xor ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.logxor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Nor ->
+          fun t ->
+            t.M.regs.(rd) <-
+              Word.of_int (Word.lognor t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Slt ->
+          fun t ->
+            t.M.regs.(rd) <-
+              (if Word.lt_signed t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
+            next t
+      | Insn.Sltu ->
+          fun t ->
+            t.M.regs.(rd) <-
+              (if Word.lt_unsigned t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
+            next t
+      | Insn.Sll ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Srl ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Sra ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Mul ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) t.M.regs.(rt));
+            next t
+      | Insn.Div | Insn.Rem -> assert false)
+  | Insn.Alui (op, rd, rs, imm) -> (
+      let b = Word.of_int imm in
+      match op with
+      | Insn.Add ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) b);
+            next t
+      | Insn.Sub ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) b);
+            next t
+      | Insn.And ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logand t.M.regs.(rs) b);
+            next t
+      | Insn.Or ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logor t.M.regs.(rs) b);
+            next t
+      | Insn.Xor ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.logxor t.M.regs.(rs) b);
+            next t
+      | Insn.Nor ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.lognor t.M.regs.(rs) b);
+            next t
+      | Insn.Slt ->
+          fun t ->
+            t.M.regs.(rd) <- (if Word.lt_signed t.M.regs.(rs) b then 1 else 0);
+            next t
+      | Insn.Sltu ->
+          fun t ->
+            t.M.regs.(rd) <-
+              (if Word.lt_unsigned t.M.regs.(rs) b then 1 else 0);
+            next t
+      | Insn.Sll ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) b);
+            next t
+      | Insn.Srl ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) b);
+            next t
+      | Insn.Sra ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) b);
+            next t
+      | Insn.Mul ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) b);
+            next t
+      | Insn.Div ->
+          (* [imm] is a non-zero constant: no trap. *)
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.div t.M.regs.(rs) b);
+            next t
+      | Insn.Rem ->
+          fun t ->
+            t.M.regs.(rd) <- Word.of_int (Word.rem t.M.regs.(rs) b);
+            next t)
   | Insn.Li (rd, imm) ->
       if rd = Reg.zero then next
       else
@@ -636,40 +793,35 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
   | Insn.Jalr _ | Insn.Rett | Insn.Trap _ | Insn.Halt ->
       assert false
 
-(* Fuse the block whose leader is [l].  [stop] is the first control
-   instruction at or after [l] (or the end of code).  The scan runs
-   straight through intermediate leaders — a block reaching a join point
-   duplicates the join's tail instead of falling through into it, so
-   only control transfers (and running off the end of code) ever return
-   to the dispatch loop; the overlapped instructions still get their own
-   block for direct entries.  [acc] is the statistics sweep's
-   accumulator, lent by {!compile} so that one serves every leader. *)
-let build_block (m : M.t) (acc : acc) l : M.block =
+(* Fuse the block whose leader is [l] and whose shape is [sh]: it stops
+   at the first control instruction at or after [l], just before it, or
+   at the end of code (see {!shape}).  The scan runs straight through
+   intermediate leaders — a block reaching a join point duplicates the
+   join's tail instead of falling through into it, so only control
+   transfers (and stopping short) ever return to the dispatch loop; the
+   overlapped instructions still get their own block for direct
+   entries.  [acc] is the statistics sweep's accumulator, lent by
+   {!compile} so that one serves every leader. *)
+let build_block (m : M.t) (acc : acc) l sh : M.block =
   let hw = m.M.hw in
   let code = m.M.code in
-  let n = Array.length code in
-  let sh = shape m l in
   let stop = sh.sh_stop in
   let len = stop - l in
   let term =
     match sh.sh_term with Some e -> Ctl (stop, e) | None -> Fall stop
   in
   let steps = len + (match term with Ctl _ -> 1 | Fall _ -> 0) in
-  let slots = sh.sh_slots in
   let squash = sh.sh_squash in
   acc_clear acc;
   let tail : chain_fn =
-    match term with
-    | Fall fp ->
+    match (term, sh.sh_slots) with
+    | Fall fp, _ ->
         let exit_pl = exit_pl_of code.(stop - 1).Image.insn in
         fun t ->
           t.M.pending_load <- exit_pl;
           fp
-    | Ctl (c, e) -> (
-        let insn = e.Image.insn in
-        let si = Stats.slot e.Image.annot in
-        let fall = c + 3 in
-        match insn with
+    | Ctl (_, e), None -> (
+        match e.Image.insn with
         | Insn.Rett ->
             fun t ->
               t.M.pending_load <- -1;
@@ -683,180 +835,80 @@ let build_block (m : M.t) (acc : acc) l : M.block =
             fun t ->
               t.M.outcome <- Some (M.Halted t.M.regs.(Reg.v0));
               stopped
-        | _ -> (
-            match slots with
-            | Fused (s1e, s2e) -> (
-                let post_pl = exit_pl_of s2e.Image.insn in
-                (* Slot faults report the branch's address, like the
-                   reference (pc sits on the branch while slots run);
-                   slots ride the branch's retirement, so their pre-paid
-                   fuel refund is zero, and an in-slot exit owes only
-                   the unexecuted slot remainder.  [slot_chain] starts
-                   the sweep over with the pair, leaving both slots'
-                   statistics in [acc]. *)
-                let slot_chain (fin : chain_fn) : chain_fn =
-                  acc_clear acc;
-                  let s2op =
-                    compile_op hw s2e ~pc:c ~suffix:acc ~refund:0 ~next:fin
-                  in
-                  acc_add acc (contribution (Some s1e) s2e);
-                  let s1op =
-                    compile_op hw s1e ~pc:c ~suffix:acc ~refund:0 ~next:s2op
-                  in
-                  acc_add acc (contribution None s1e);
-                  s1op
-                in
-                let goto target : chain_fn =
-                 fun t ->
-                  t.M.pending_load <- post_pl;
-                  target
-                in
-                let indirect : chain_fn =
-                 fun t ->
-                  t.M.pending_load <- post_pl;
-                  t.M.jump_target
-                in
-                (* The taken/not-taken continuation pair of a
-                   conditional branch: a squashing branch applies the
-                   slot delta only when the slots actually run and
-                   charges the annulled cycles to its own kind slot
-                   otherwise; each condition test below dispatches
-                   between the two pre-built closures directly. *)
-                let paths target : chain_fn * chain_fn =
-                  if squash then
-                    let taken_chain = slot_chain (goto target) in
-                    let slots_apply = apply_fn (compress acc) in
-                    ( (fun t ->
-                        slots_apply t.M.stats;
-                        taken_chain t),
-                      fun t ->
-                        let s = t.M.stats in
-                        s.Stats.squashed <- s.Stats.squashed + 2;
-                        s.Stats.cycles <- s.Stats.cycles + 2;
-                        s.Stats.kind_cycles.(si) <-
-                          s.Stats.kind_cycles.(si) + 2;
-                        t.M.pending_load <- -1;
-                        fall )
-                  else (slot_chain (goto target), slot_chain (goto fall))
-                in
-                match insn with
-                | Insn.B (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.cond in
-                    let rs = b.Insn.rs and rt = b.Insn.rt in
-                    let on_true, on_false = paths target in
-                    fun t ->
-                      if cmp t.M.regs.(rs) t.M.regs.(rt) then on_true t
-                      else on_false t
-                | Insn.Bi (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.bi_cond in
-                    let rs = b.Insn.bi_rs in
-                    let immw = Word.of_int b.Insn.bi_imm in
-                    let on_true, on_false = paths target in
-                    fun t ->
-                      if cmp t.M.regs.(rs) immw then on_true t else on_false t
-                | Insn.Btag (b, target) ->
-                    let shift = hw.M.tag_shift and width = hw.M.tag_width in
-                    let rs = b.Insn.bt_rs in
-                    let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-                    let on_true, on_false = paths target in
-                    if neg then fun t ->
-                      if Word.field ~shift ~width t.M.regs.(rs) <> tag then
-                        on_true t
-                      else on_false t
-                    else fun t ->
-                      if Word.field ~shift ~width t.M.regs.(rs) = tag then
-                        on_true t
-                      else on_false t
-                | Insn.J target -> slot_chain (goto target)
-                | Insn.Jal target ->
-                    let ch = slot_chain (goto target) in
-                    let ra_v = c + 3 in
-                    fun t ->
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      ch t
-                | Insn.Jr rs ->
-                    let ch = slot_chain indirect in
-                    fun t ->
-                      t.M.jump_target <- t.M.regs.(rs);
-                      ch t
-                | Insn.Jalr rs ->
-                    (* Target read before the link write, like the
-                       reference (jalr through ra must jump to the old
-                       value). *)
-                    let ch = slot_chain indirect in
-                    let ra_v = c + 3 in
-                    fun t ->
-                      t.M.jump_target <- t.M.regs.(rs);
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      ch t
-                | _ -> assert false)
-            | No_slots | Dynamic -> (
-                (* Dynamic slots: run through the per-instruction
-                   [Predecode.compile_simple] slot closures, so in-slot
-                   traps and aborts behave exactly as in the reference.
-                   [pending_load] is reset first, as the branch's own
-                   [interlock_check] does. *)
-                let slot j : M.t -> unit =
-                  if j < 0 || j >= n then
-                    fun _ -> M.errorf "pc out of range: %d" j
-                  else Predecode.compile_simple hw code.(j)
-                in
-                let s1 = slot (c + 1) and s2 = slot (c + 2) in
-                let exec_slots (t : M.t) =
-                  s1 t;
-                  if t.M.outcome = None then s2 t
-                in
-                let squash_slots (t : M.t) =
-                  let s = t.M.stats in
-                  s.Stats.squashed <- s.Stats.squashed + 2;
-                  s.Stats.cycles <- s.Stats.cycles + 2;
-                  s.Stats.kind_cycles.(si) <- s.Stats.kind_cycles.(si) + 2
-                in
-                let finish (t : M.t) ~taken target =
-                  t.M.pending_load <- -1;
-                  if squash && not taken then squash_slots t
-                  else exec_slots t;
-                  if t.M.outcome = None then
-                    if taken then target else fall
-                  else stopped
-                in
-                match insn with
-                | Insn.B (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.cond in
-                    let rs = b.Insn.rs and rt = b.Insn.rt in
-                    fun t ->
-                      finish t ~taken:(cmp t.M.regs.(rs) t.M.regs.(rt)) target
-                | Insn.Bi (b, target) ->
-                    let cmp = Predecode.cond_fn b.Insn.bi_cond in
-                    let rs = b.Insn.bi_rs in
-                    let immw = Word.of_int b.Insn.bi_imm in
-                    fun t -> finish t ~taken:(cmp t.M.regs.(rs) immw) target
-                | Insn.Btag (b, target) ->
-                    let shift = hw.M.tag_shift and width = hw.M.tag_width in
-                    let rs = b.Insn.bt_rs in
-                    let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-                    fun t ->
-                      let got = Word.field ~shift ~width t.M.regs.(rs) in
-                      finish t
-                        ~taken:(if neg then got <> tag else got = tag)
-                        target
-                | Insn.J target -> fun t -> finish t ~taken:true target
-                | Insn.Jal target ->
-                    let ra_v = c + 3 in
-                    fun t ->
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      finish t ~taken:true target
-                | Insn.Jr rs ->
-                    fun t ->
-                      let target = t.M.regs.(rs) in
-                      finish t ~taken:true target
-                | Insn.Jalr rs ->
-                    let ra_v = c + 3 in
-                    fun t ->
-                      let target = t.M.regs.(rs) in
-                      t.M.regs.(Reg.ra) <- ra_v;
-                      finish t ~taken:true target
-                | _ -> assert false)))
+        | _ -> assert false)
+    | Ctl (c, e), Some (s1e, s2e) -> (
+        let si = Stats.slot e.Image.annot in
+        let fall = c + 3 in
+        let post_pl = exit_pl_of s2e.Image.insn in
+        (* Slot faults report the branch's address, like the reference
+           (pc sits on the branch while slots run); slots ride the
+           branch's retirement, so their pre-paid fuel refund is zero,
+           and an in-slot exit owes only the unexecuted slot remainder.
+           [slot_chain] starts the sweep over with the pair, leaving both
+           slots' statistics in [acc]. *)
+        let slot_chain (fin : chain_fn) : chain_fn =
+          acc_clear acc;
+          let s2op = compile_op hw s2e ~pc:c ~suffix:acc ~refund:0 ~next:fin in
+          acc_add acc (contribution (Some s1e) s2e);
+          let s1op = compile_op hw s1e ~pc:c ~suffix:acc ~refund:0 ~next:s2op in
+          acc_add acc (contribution None s1e);
+          s1op
+        in
+        let goto target : chain_fn =
+         fun t ->
+          t.M.pending_load <- post_pl;
+          target
+        in
+        let indirect : chain_fn =
+         fun t ->
+          t.M.pending_load <- post_pl;
+          t.M.jump_target
+        in
+        match e.Image.insn with
+        | Insn.B (_, target) | Insn.Bi (_, target) | Insn.Btag (_, target) ->
+            (* The taken/not-taken continuation pair: a squashing branch
+               applies the slot delta only when the slots actually run
+               and charges the annulled cycles to its own kind slot
+               otherwise; the condition test dispatches between the two
+               pre-built closures directly. *)
+            let test = cond_test hw e in
+            let on_true, on_false =
+              if squash then
+                let taken_chain = slot_chain (goto target) in
+                let slots_apply = apply_fn (compress acc) in
+                ( (fun t ->
+                    slots_apply t.M.stats;
+                    taken_chain t),
+                  fun t ->
+                    let s = t.M.stats in
+                    s.Stats.squashed <- s.Stats.squashed + 2;
+                    s.Stats.cycles <- s.Stats.cycles + 2;
+                    s.Stats.kind_cycles.(si) <- s.Stats.kind_cycles.(si) + 2;
+                    t.M.pending_load <- -1;
+                    fall )
+              else (slot_chain (goto target), slot_chain (goto fall))
+            in
+            fun t -> if test t then on_true t else on_false t
+        | Insn.J target -> slot_chain (goto target)
+        | Insn.Jal target ->
+            let ch = slot_chain (goto target) in
+            fun t ->
+              t.M.regs.(Reg.ra) <- fall;
+              ch t
+        | Insn.Jr rs ->
+            let ch = slot_chain indirect in
+            fun t ->
+              t.M.jump_target <- t.M.regs.(rs);
+              ch t
+        | Insn.Jalr rs ->
+            (* Target read before the link write, like the reference
+               (jalr through ra must jump to the old value). *)
+            let ch = slot_chain indirect in
+            fun t ->
+              t.M.jump_target <- t.M.regs.(rs);
+              t.M.regs.(Reg.ra) <- fall;
+              ch t
+        | _ -> assert false)
   in
   (* The block-entry delta covers every unit that unconditionally
      retires when the block runs to completion: the body and terminator
@@ -903,12 +955,18 @@ let build_block (m : M.t) (acc : acc) l : M.block =
   in
   { M.b_pc = l; M.b_steps = steps; M.b_exec = exec }
 
+(* A leader sitting on a branch that fusion leaves to the reference
+   [step] gets no block: the run loop steps it. *)
 let compile (m : M.t) : M.block option array =
   let n = Array.length m.M.code in
   let leader = leaders m in
   let acc = acc_create () in
   Array.init n (fun l ->
-      if leader.(l) then Some (build_block m acc l) else None)
+      if not leader.(l) then None
+      else
+        let sh = shape m l in
+        if sh.sh_stop = l && Option.is_none sh.sh_term then None
+        else Some (build_block m acc l sh))
 
 (** Build and install the block array; idempotent.  The staleness test
     is on array lengths: [blocks] starts out as the shared empty atom,

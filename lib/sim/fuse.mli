@@ -8,23 +8,27 @@
     including on dynamic early exits (division by zero, checked-load
     type traps, generic-arithmetic traps), which undo the pre-summed
     statistics and refund the pre-paid fuel of the unexecuted block
-    suffix (enforced by the engine differential suite).
+    suffix (enforced by the engine differential suite).  A branch whose
+    delay slots cannot be fused (a slot holds a control or
+    generic-arithmetic instruction, or lies past the end of code) ends
+    the block before it and is stepped by the reference
+    [Machine.step].
 
     The building blocks of fusion — the static statistics builder,
-    flattened deltas, and the continuation-chain compiler
-    for simple instructions — are exposed below for {!Trace}, which
-    reuses them to compile multi-block superblocks; they are not meant
-    for use outside [lib/sim]. *)
+    flattened deltas, and the one continuation-chain compiler for simple
+    instructions and branch conditions — are exposed below for {!Trace},
+    which reuses them to compile multi-block superblocks; they are not
+    meant for use outside [lib/sim]. *)
 
 module Image := Tagsim_asm.Image
 module Insn := Tagsim_mipsx.Insn
 
 (** Build and install the block array on the machine; idempotent.
-    Index [i] is [Some] iff [i] is a block leader: the entry point, a
+    Index [i] is [Some] iff [i] is a block leader — the entry point, a
     code label, a branch or jump target, the fall-through after a
     control instruction and its two delay slots, or the resumption point
-    after a generic-arithmetic instruction.  Called by
-    {!Trace.attach}. *)
+    after a generic-arithmetic instruction — that is not itself a branch
+    with unfusible delay slots.  Called by {!Trace.attach}. *)
 val attach : Machine.t -> unit
 
 (** {1 Fusion building blocks (shared with {!Trace})} *)
@@ -103,12 +107,12 @@ val squash_of : Image.entry -> bool
 
 (** Compile one simple (non-control, possibly trapping) instruction
     into a closure doing only the genuinely dynamic work, tail-calling
-    [next] on the success path.  [suffix] holds the statistics
-    pre-summed for every unit after this one; an instruction that can
-    exit early snapshots its undo delta from it during the call (a
-    division adds back its own success-path charge).  On a dynamic exit
-    the closure undoes that delta, refunds [refund] pre-paid fuel, and
-    does not call [next]. *)
+    [next] on the success path; the one such compiler for both tiers.
+    [suffix] holds the statistics pre-summed for every unit after this
+    one; an instruction that can exit early snapshots its undo delta
+    from it during the call (a division adds back its own success-path
+    charge).  On a dynamic exit the closure undoes that delta, refunds
+    [refund] pre-paid fuel, and does not call [next]. *)
 val compile_op :
   Machine.hw ->
   Image.entry ->
@@ -118,19 +122,20 @@ val compile_op :
   next:chain_fn ->
   chain_fn
 
-(** How a terminator's two delay slots are handled: fused into the
-    block, run dynamically through the {!Predecode.compile_simple}
-    closures, or
-    absent (slotless control instructions and blocks falling off the end
-    of code). *)
-type ctl_slots = No_slots | Fused of Image.entry * Image.entry | Dynamic
+(** A conditional branch's condition ([B], [Bi] or [Btag]) as a test
+    with the comparison inlined: the one branch-condition compiler for
+    block terminators and trace guards. *)
+val cond_test : Machine.hw -> Image.entry -> Machine.t -> bool
 
 (** The static layout of the block led by an address (shared with the
-    trace compiler, which walks shapes along the hot path). *)
+    trace compiler, which walks shapes along the hot path).  A block
+    without a terminator either falls off the end of code or stops just
+    before a branch whose delay slots cannot be fused; [sh_slots] holds
+    the two fused delay slots of a branch or jump terminator. *)
 type shape = {
-  sh_stop : int; (* first control instruction at/after the leader *)
-  sh_term : Image.entry option; (* None: the block falls off code *)
-  sh_slots : ctl_slots;
+  sh_stop : int; (* the terminator, or the first address past the block *)
+  sh_term : Image.entry option; (* None: the block ends at [sh_stop] *)
+  sh_slots : (Image.entry * Image.entry) option;
   sh_squash : bool;
 }
 

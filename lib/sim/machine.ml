@@ -86,7 +86,8 @@ type t = {
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
   mutable blocks : block option array;
-      (* one fused block per basic-block leader, indexed by leader pc,
+      (* one fused block per basic-block leader, indexed by leader pc
+         (None at a leader on a branch with unfusible delay slots),
          installed by Fuse.attach; [||] until then *)
   mutable tstate : tstate option;
       (* trace-engine state (heat/edge profile and formed traces),
@@ -550,8 +551,10 @@ let reset_trace_counters () =
    pre-pays [tr_steps] and falls back to block granularity when it
    cannot, a block pre-pays [b_steps] and falls back to the reference
    [step], so [Out_of_fuel] fires at the identical retirement count.
-   [step] also runs the rare entries at a pc that leads no block (a
-   [rett] into the middle of a straight line). *)
+   [step] also runs the rare entries at a pc that leads no block: a
+   [rett] into the middle of a straight line, or a branch whose delay
+   slots fusion leaves to the reference (a block stops just before
+   it). *)
 let run_traced t ts =
   let blocks = t.blocks in
   let n = Array.length t.code in

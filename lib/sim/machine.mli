@@ -15,8 +15,8 @@
       hot paths to superblock traces — one straight-line closure
       spanning several blocks with a single pre-summed statistics delta
       and guarded side exits that roll back to exact per-block
-      accounting.  Fuel tails and entries at non-leaders fall back to
-      {!step}.
+      accounting.  Fuel tails, entries at non-leaders and branches
+      whose delay slots cannot be fused fall back to {!step}.
     Both engines must produce bit-identical {!Stats.t} (enforced by the
     differential engine suite and the fuzzer). *)
 
@@ -193,7 +193,8 @@ val errorf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Execute one instruction (including its delay slots), by re-decoding
     it: this is the reference engine's step, and the traced engine's
-    fallback for fuel tails and non-leader entries. *)
+    fallback for fuel tails, non-leader entries and branches with
+    unfusible delay slots. *)
 val step : t -> unit
 
 exception Out_of_fuel

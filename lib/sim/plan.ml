@@ -20,7 +20,7 @@ type seg = {
   ps_next : int; (* expected successor leader (trace exit for the last) *)
 }
 
-(* One superblock: the (already unrolled) segment path and its exit. *)
+(* One superblock: the segment path, each block once, and its exit. *)
 type trace = { pt_segs : seg array; pt_exit : int }
 
 let head (tr : trace) = tr.pt_segs.(0).ps_pc

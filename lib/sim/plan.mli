@@ -1,7 +1,7 @@
 (** Superblock trace plans: the pure-data projection of a formed trace —
     the ordered segment path (leader, terminator, junction, expected
-    successor) and the exit, with unroll and return-matching decisions
-    already applied.  {!Trace.form} records one per formed trace in
+    successor) and the exit, with the return-matching decisions already
+    applied.  {!Trace.form} records one per formed trace in
     [Machine.ts_plans]; nothing persists them. *)
 
 (** How a planned segment ends, and which successor the path expects.
@@ -16,7 +16,7 @@ type jct =
     needs is a function of the image. *)
 type seg = { ps_pc : int; ps_stop : int; ps_jct : jct; ps_next : int }
 
-(** One superblock: the (already unrolled) segment path and its exit. *)
+(** One superblock: the segment path, each block once, and its exit. *)
 type trace = { pt_segs : seg array; pt_exit : int }
 
 (** The leader pc of a planned trace ([pt_segs.(0).ps_pc]). *)

@@ -7,13 +7,16 @@
     ending in a guardable junction — a conditional branch, a direct
     jump, or a register-indirect jump, all with fusible delay slots —
     and closed by a loop back-edge, an unguardable block, a cold or
-    bimodal edge, or the length bound.  The expected path is compiled
-    exactly like a fused block, only longer: one instruction-level
-    continuation chain whose statically-knowable statistics — including
-    the cross-junction delay-slot interlocks that tier-1 fused blocks must
-    probe dynamically, and the annul accounting of squashing branches
-    the path falls through — are pre-summed into a single delta applied
-    once on trace entry.
+    bimodal edge, or the length bound; a back-edge into the head closes
+    the trace with the head as its exit, so a loop trace chains to
+    itself.  The expected path is compiled exactly like a fused block,
+    only longer, and by the same instruction and branch-condition
+    compilers ({!Fuse.compile_op}, {!Fuse.cond_test}): one
+    instruction-level continuation chain whose statically-knowable
+    statistics — including the cross-junction delay-slot interlocks that
+    tier-1 fused blocks must probe dynamically, and the annul accounting
+    of squashing branches the path falls through — are pre-summed into a
+    single delta applied once on trace entry.
 
     Exactness comes from the guards.  Each junction that can leave the
     expected path compiles a side exit that (a) subtracts the pre-summed
@@ -24,8 +27,8 @@
     cycles of slots the path expected to run, latch the in-flight load
     register), and (d) hands the off-path pc back to the dispatch loop.
     Dynamic early exits inside the path (division by zero, checked-load
-    type traps, resumable generic-arithmetic traps) reuse the fused
-    engine's {!Fuse.compile_op} with trace-wide undo deltas and fuel
+    type traps, resumable generic-arithmetic traps) are
+    {!Fuse.compile_op}'s own, with trace-wide undo deltas and fuel
     refunds.  The result is bit-identical {!Stats.t}, abort codes and
     fuel trajectory — [Out_of_fuel] tail included, because a trace
     pre-pays its retirements like a block does and falls back to block
@@ -35,7 +38,6 @@
 module M = Machine
 module Insn = Tagsim_mipsx.Insn
 module Reg = Tagsim_mipsx.Reg
-module Word = Tagsim_mipsx.Word
 module Image = Tagsim_asm.Image
 
 (* Block entries before a leader is considered hot. *)
@@ -112,7 +114,7 @@ let matched_return_prob = 0.99
 let segment_of (m : M.t) (ts : M.tstate) ~ret pc : candidate =
   let sh = Fuse.shape m pc in
   match (sh.Fuse.sh_term, sh.Fuse.sh_slots) with
-  | Some e, Fuse.Fused (s1, s2) -> (
+  | Some e, Some (s1, s2) -> (
       let stop = sh.Fuse.sh_stop in
       let fall = stop + 3 in
       let mk ?(p = 1.0) jct next =
@@ -166,14 +168,11 @@ let segment_of (m : M.t) (ts : M.tstate) ~ret pc : candidate =
    closes on a loop back-edge into the path, on a block that cannot be
    a segment, on a junction without a dominant successor, at
    [max_segments], or when the product of junction shares says the tail
-   would rarely be reached ([reach_cutoff]).  A back-edge into the
-   *head* closes specially: the path is a whole loop body, so it is
-   unrolled as many times as the length bound and the iteration's
-   completion probability allow, amortising the per-entry costs (one
-   delta apply, one dispatch, one entry probe) over several iterations
-   while the exit stays head-aligned for self-chaining.  [Ok] carries
-   the segments and the exit pc; [Error retryable] reports a head not
-   (yet) worth a trace. *)
+   would rarely be reached ([reach_cutoff]).  A back-edge into the head
+   closes like any other, with the head as the exit, so a whole loop
+   body chains to itself through [tr_next].  [Ok] carries the segments
+   and the exit pc; [Error retryable] reports a head not (yet) worth a
+   trace. *)
 let grow (m : M.t) (ts : M.tstate) head =
   let n = Array.length m.M.code in
   let blocks = m.M.blocks in
@@ -185,22 +184,7 @@ let grow (m : M.t) (ts : M.tstate) head =
         Ok (Array.of_list (List.rev acc), pc)
       else Error retryable
     in
-    if pc = head && count > 0 then begin
-      let body = List.rev acc in
-      let by_len = max_segments / count in
-      let by_reach =
-        (* enough iterations that 95% of entries exit before the end:
-           unrolling further buys nothing, stopping earlier re-enters
-           mid-run *)
-        if reach >= 0.999 then max_segments
-        else max 1 (int_of_float (log 0.05 /. log reach))
-      in
-      let k = max 1 (min by_len by_reach) in
-      if k * count >= min_segments then
-        Ok (Array.concat (List.init k (fun _ -> Array.of_list body)), head)
-      else Error false
-    end
-    else if List.exists (fun s -> s.sg_pc = pc) acc then close false
+    if List.exists (fun s -> s.sg_pc = pc) acc then close false
     else if count = max_segments then close false
     else if reach < reach_cutoff then close false
     else if pc < 0 || pc >= n || blocks.(pc) = None then close false
@@ -224,228 +208,6 @@ let grow (m : M.t) (ts : M.tstate) head =
 
 (* --- Compilation. --- *)
 
-(* The guard condition of a conditional branch, pre-resolved with the
-   comparison inlined (no indirect evaluator call on the hot path). *)
-let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
-  match e.Image.insn with
-  | Insn.B (b, _) -> (
-      let rs = b.Insn.rs and rt = b.Insn.rt in
-      match b.Insn.cond with
-      | Insn.Eq -> fun t -> t.M.regs.(rs) = t.M.regs.(rt)
-      | Insn.Ne -> fun t -> t.M.regs.(rs) <> t.M.regs.(rt)
-      | Insn.Lt ->
-          fun t -> Word.to_signed t.M.regs.(rs) < Word.to_signed t.M.regs.(rt)
-      | Insn.Ge ->
-          fun t -> Word.to_signed t.M.regs.(rs) >= Word.to_signed t.M.regs.(rt)
-      | Insn.Gt ->
-          fun t -> Word.to_signed t.M.regs.(rs) > Word.to_signed t.M.regs.(rt)
-      | Insn.Le ->
-          fun t -> Word.to_signed t.M.regs.(rs) <= Word.to_signed t.M.regs.(rt))
-  | Insn.Bi (b, _) -> (
-      let rs = b.Insn.bi_rs in
-      let immw = Word.of_int b.Insn.bi_imm in
-      let imms = Word.to_signed immw in
-      match b.Insn.bi_cond with
-      | Insn.Eq -> fun t -> t.M.regs.(rs) = immw
-      | Insn.Ne -> fun t -> t.M.regs.(rs) <> immw
-      | Insn.Lt -> fun t -> Word.to_signed t.M.regs.(rs) < imms
-      | Insn.Ge -> fun t -> Word.to_signed t.M.regs.(rs) >= imms
-      | Insn.Gt -> fun t -> Word.to_signed t.M.regs.(rs) > imms
-      | Insn.Le -> fun t -> Word.to_signed t.M.regs.(rs) <= imms)
-  | Insn.Btag (b, _) ->
-      let shift = hw.M.tag_shift and width = hw.M.tag_width in
-      let rs = b.Insn.bt_rs in
-      let neg = b.Insn.bt_neg and tag = b.Insn.bt_tag in
-      if neg then fun t -> Word.field ~shift ~width t.M.regs.(rs) <> tag
-      else fun t -> Word.field ~shift ~width t.M.regs.(rs) = tag
-  | _ -> assert false
-
-(* Trace-tier operation specialisation: the superblock compiler can
-   afford more compile time per instruction than block fusion, so the
-   common never-trapping straight-line operations compile to closures
-   with the operator inlined — no indirect evaluator call on the hot
-   path.  Anything that can trap or touch memory falls back to the
-   shared [Fuse.compile_op]; the computations mirror it exactly. *)
-let spec_op (e : Image.entry) ~(next : Fuse.chain_fn) : Fuse.chain_fn option =
-  match e.Image.insn with
-  | Insn.Nop -> Some next
-  | Insn.Alu (op, rd, rs, rt) -> (
-      match op with
-      | Insn.Div | Insn.Rem -> None
-      | _ when rd = Reg.zero -> Some next
-      | Insn.Add ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Sub ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.And ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logand t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Or ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Xor ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.logxor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Nor ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int (Word.lognor t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Slt ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int
-                  (if Word.lt_signed t.M.regs.(rs) t.M.regs.(rt) then 1 else 0);
-              next t)
-      | Insn.Sltu ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <-
-                Word.of_int
-                  (if Word.lt_unsigned t.M.regs.(rs) t.M.regs.(rt) then 1
-                   else 0);
-              next t)
-      | Insn.Sll ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Srl ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Sra ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) t.M.regs.(rt));
-              next t)
-      | Insn.Mul ->
-          Some
-            (fun t ->
-              t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) t.M.regs.(rt));
-              next t))
-  | Insn.Alui (op, rd, rs, imm) -> (
-      if (op = Insn.Div || op = Insn.Rem) && imm = 0 then None
-      else if rd = Reg.zero then Some next
-      else
-        let b = Word.of_int imm in
-        match op with
-        | Insn.Add ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.add t.M.regs.(rs) b);
-                next t)
-        | Insn.Sub ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sub t.M.regs.(rs) b);
-                next t)
-        | Insn.And ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logand t.M.regs.(rs) b);
-                next t)
-        | Insn.Or ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logor t.M.regs.(rs) b);
-                next t)
-        | Insn.Xor ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.logxor t.M.regs.(rs) b);
-                next t)
-        | Insn.Nor ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.lognor t.M.regs.(rs) b);
-                next t)
-        | Insn.Slt ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <-
-                  Word.of_int (if Word.lt_signed t.M.regs.(rs) b then 1 else 0);
-                next t)
-        | Insn.Sltu ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <-
-                  Word.of_int (if Word.lt_unsigned t.M.regs.(rs) b then 1 else 0);
-                next t)
-        | Insn.Sll ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sll t.M.regs.(rs) b);
-                next t)
-        | Insn.Srl ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.srl t.M.regs.(rs) b);
-                next t)
-        | Insn.Sra ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.sra t.M.regs.(rs) b);
-                next t)
-        | Insn.Mul ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.mul t.M.regs.(rs) b);
-                next t)
-        | Insn.Div ->
-            (* [imm] is a compile-time non-zero constant: no trap. *)
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.div t.M.regs.(rs) b);
-                next t)
-        | Insn.Rem ->
-            Some
-              (fun t ->
-                t.M.regs.(rd) <- Word.of_int (Word.rem t.M.regs.(rs) b);
-                next t))
-  | Insn.Li (rd, imm) ->
-      if rd = Reg.zero then Some next
-      else
-        let v = Word.of_int imm in
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- v;
-            next t)
-  | Insn.La (rd, addr) ->
-      if rd = Reg.zero then Some next
-      else
-        let v = Word.of_int addr in
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- v;
-            next t)
-  | Insn.Mv (rd, rs) ->
-      if rd = Reg.zero then Some next
-      else
-        Some
-          (fun t ->
-            t.M.regs.(rd) <- t.M.regs.(rs);
-            next t)
-  | _ -> None
-
 (* Compile the expected path of [segs] into one continuation chain with
    one entry delta, building right to left so each junction knows the
    chain, the pre-summed statistics and the pre-paid fuel of everything
@@ -459,13 +221,6 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   let hw = m.M.hw in
   let code = m.M.code in
   let acc = Fuse.acc_create () and scratch = Fuse.acc_create () in
-  (* Specialised closure when the operation cannot trap, shared
-     compiler otherwise; [suffix] holds the units after [e]. *)
-  let op_of suffix e ~pc ~refund ~(next : Fuse.chain_fn) =
-    match spec_op e ~next with
-    | Some f -> f
-    | None -> Fuse.compile_op hw e ~pc ~suffix ~refund ~next
-  in
   let k = Array.length segs in
   let slots_run i =
     (* Annulled only when the expected path falls through a squashing
@@ -519,9 +274,11 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
        owes back what [a] holds when it is compiled, and both slots are
        left in [a]. *)
     let slot_pair a ~refund next =
-      let s2op = op_of a s.sg_s2 ~pc:c ~refund ~next in
+      let s2op = Fuse.compile_op hw s.sg_s2 ~pc:c ~suffix:a ~refund ~next in
       Fuse.acc_add a sc2;
-      let s1op = op_of a s.sg_s1 ~pc:c ~refund ~next:s2op in
+      let s1op =
+        Fuse.compile_op hw s.sg_s1 ~pc:c ~suffix:a ~refund ~next:s2op
+      in
       Fuse.acc_add a sc1;
       s1op
     in
@@ -579,7 +336,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
       | Cond { expect_taken; target } ->
           let fall = c + 3 in
           let pc_off = if expect_taken then fall else target in
-          let test = cond_test hw s.sg_term in
+          let test = Fuse.cond_test hw s.sg_term in
           if not s.sg_squash then begin
             (* Slots run on both paths with identical statistics; the
                side exit only owes the later segments. *)
@@ -640,7 +397,9 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
     let body = ref jchain in
     for u = len - 1 downto 0 do
       let e = code.(l + u) in
-      body := op_of acc e ~pc:(l + u) ~refund:(len - u + ra_ref) ~next:!body;
+      body :=
+        Fuse.compile_op hw e ~pc:(l + u) ~suffix:acc
+          ~refund:(len - u + ra_ref) ~next:!body;
       Fuse.acc_add acc
         (Fuse.contribution
            (if u = 0 then cross_prev i else Some code.(l + u - 1))

@@ -3,13 +3,13 @@
     the hot threshold grows a superblock along the expected successor
     path — probability-guided (growth stops when the product of
     junction shares drops below a reach cutoff), return addresses
-    matched to calls crossed on the path, whole loop bodies unrolled
-    within the length bound — and compiles it to one straight-line
+    matched to calls crossed on the path, a loop body closed at its
+    back-edge and chained to itself — and compiles it, with tier 1's own
+    instruction compiler {!Fuse.compile_op}, to one straight-line
     continuation chain with a single pre-summed statistics delta —
     cross-junction delay-slot interlocks and squashing-branch annul
-    accounting statically resolved, never-trapping operations
-    specialised with their operators inlined — and guarded side exits
-    that roll statistics and fuel back to the exact per-block values.
+    accounting statically resolved — and guarded side exits that roll
+    statistics and fuel back to the exact per-block values.
     [Machine.run] on an attached machine dispatches once per trace on
     hot paths and stays bit-identical to the reference interpreter,
     [Out_of_fuel] tail included (enforced by the engine differential

@@ -13,8 +13,13 @@
    load-use interlocks resolved statically or probed at a block
    boundary, hot-loop trace promotion, and every superblock side exit
    (branch misprediction, squash annulment both ways, indirect-jump
-   guard failure, traps and fuel exhaustion mid-trace).  The parallel
-   measurement pool must likewise be oblivious to the worker count. *)
+   guard failure, traps and fuel exhaustion mid-trace).  Patched images
+   put what the assembler never emits into delay slots — a generic add
+   in a hot loop's slot, a label on such a branch, a control
+   instruction, a generic-arithmetic trap, slots past the end of
+   code — which the traced engine leaves to the reference [step], with
+   identical machine errors.  The parallel measurement pool must
+   likewise be oblivious to the worker count. *)
 
 module P = Tagsim.Program
 module Stats = Tagsim.Stats
@@ -123,12 +128,15 @@ let run_raw ?fuel ?threshold ?(setup = fun _ -> ()) image engine =
   Machine.set_reg m Reg.rmask scheme.Scheme.data_mask;
   setup m;
   let outcome =
-    try `Done (Machine.run m) with Machine.Out_of_fuel -> `Fuel
+    try `Done (Machine.run m) with
+    | Machine.Out_of_fuel -> `Fuel
+    | Machine.Machine_error msg -> `Error msg
   in
   (outcome, Machine.stats m)
 
 let outcome_str = function
   | `Fuel -> "out-of-fuel"
+  | `Error msg -> "machine error: " ^ msg
   | `Done (Machine.Halted v) -> Printf.sprintf "halted %d" v
   | `Done (Machine.Aborted c) -> Printf.sprintf "aborted %d" c
 
@@ -607,6 +615,139 @@ let test_trace_attach_idempotent () =
   Alcotest.(check bool) "fused blocks attached too" true
     (Array.length m.Machine.blocks > 0)
 
+(* --- Unfusible delay slots: raw slot contents the assembler never
+   emits.  Fusion stops a block before such a branch, and the traced run
+   loop steps the branch with its slots on the reference [step]. --- *)
+
+(* [image] with the instructions at the given code addresses replaced. *)
+let patch image edits =
+  let code = Array.copy image.Image.code in
+  List.iter
+    (fun (i, insn) -> code.(i) <- { (code.(i)) with Image.insn })
+    edits;
+  { image with Image.code }
+
+(* The address of the only conditional branch in [image]. *)
+let branch_pc image =
+  let code = image.Image.code in
+  let rec find i =
+    match code.(i).Image.insn with
+    | Insn.B _ | Insn.Bi _ | Insn.Btag _ -> i
+    | _ -> find (i + 1)
+  in
+  find 0
+
+let int_item = Scheme.encode_int scheme
+let gen_inc = Insn.Add_gen (Reg.t5, Reg.t5, Reg.t4)
+
+(* A hot loop whose back branch holds a non-trapping generic add in its
+   first slot and a load in its second, read by the loop's first
+   instruction (an interlock across the slots into the next block); the
+   load of the bound just before the branch interlocks on the branch
+   itself, across the block's early end. *)
+let test_slot_gen_loop () =
+  let n = 21 in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t6, 256));
+        Buf.emit b (Insn.Li (Reg.t1, n));
+        Buf.emit b (Insn.St (Insn.Plain, Reg.t6, Reg.t1, 4));
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t4, int_item 1));
+        Buf.emit b (Insn.Li (Reg.t5, int_item 0));
+        Buf.emit b (Insn.Li (Reg.t7, 0));
+        Buf.label b "loop";
+        Buf.emit b (Insn.Alu (Insn.Add, Reg.t8, Reg.t7, Reg.t7));
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (Insn.Ld (Insn.Plain, Reg.t1, Reg.t6, 4));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t5));
+        Buf.emit b Insn.Halt)
+  in
+  let bpc = branch_pc image in
+  let image =
+    patch image
+      [ (bpc + 1, gen_inc); (bpc + 2, Insn.Ld (Insn.Plain, Reg.t7, Reg.t6, 4)) ]
+  in
+  let r = check_three "slot-gen-loop" ~threshold:2 image in
+  expect_outcome "slot-gen-loop" (Printf.sprintf "halted %d" (int_item n)) r;
+  Alcotest.(check int) "slot-gen-loop: two interlocks an iteration"
+    ((2 * n) - 1) (snd r).Stats.interlocks
+
+(* A label directly on such a branch: a leader with no block of its
+   own, so every iteration enters the reference [step] at the branch. *)
+let test_slot_gen_leader () =
+  let n = 17 in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t1, n));
+        Buf.emit b (Insn.Li (Reg.t4, int_item 1));
+        Buf.emit b (Insn.Li (Reg.t5, int_item 0));
+        Buf.label b "loop";
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t5));
+        Buf.emit b Insn.Halt)
+  in
+  let bpc = branch_pc image in
+  let image =
+    patch image
+      [ (bpc + 1, gen_inc); (bpc + 2, Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1)) ]
+  in
+  let r = check_three "slot-gen-leader" ~threshold:2 image in
+  (* the slots also run under the final, not-taken branch *)
+  expect_outcome "slot-gen-leader"
+    (Printf.sprintf "halted %d" (int_item (n + 1)))
+    r
+
+(* A straight line into a branch whose delay slots stop the machine:
+   [slots] patches the slots (by offset from the branch), [cut] drops
+   that many instructions from the end of code.  The run must raise the
+   reference's [Machine_error], [msg] applied to the branch's address,
+   with the reference's statistics. *)
+let check_slot_error name ?(slots = []) ?(cut = 0) msg =
+  let image =
+    assemble (fun b ->
+        Buf.label b "top";
+        Buf.emit b (Insn.Li (Reg.t0, 1));
+        Buf.emit b (Insn.Li (Reg.t1, 2));
+        Buf.emit b (Insn.Li (Reg.t4, int_item 3));
+        Buf.emit b
+          (Insn.Li (Reg.t5, Scheme.encode_ptr scheme Scheme.Pair (256 * 8)));
+        Buf.emit b (Insn.Ld (Insn.Plain, Reg.t2, Reg.zero, 256));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "top"))
+  in
+  let bpc = branch_pc image in
+  let image = patch image (List.map (fun (k, i) -> (bpc + k, i)) slots) in
+  let code = image.Image.code in
+  let image =
+    { image with Image.code = Array.sub code 0 (Array.length code - cut) }
+  in
+  expect_outcome name ("machine error: " ^ msg bpc)
+    (check_three name ~threshold:2 image)
+
+let control_in_slot =
+  Printf.sprintf "control instruction in a delay slot at pc %d"
+
+let test_slot_control () =
+  check_slot_error "slot-control" ~slots:[ (1, Insn.J 0) ] control_in_slot;
+  check_slot_error "slot-control-second"
+    ~slots:[ (1, Insn.Add_gen (Reg.t3, Reg.t4, Reg.t4)); (2, Insn.Jr Reg.ra) ]
+    control_in_slot
+
+let test_slot_gen_trap () =
+  check_slot_error "slot-gen-trap"
+    ~slots:[ (1, Insn.Add_gen (Reg.t3, Reg.t4, Reg.t5)) ]
+    (Printf.sprintf "generic-arithmetic trap in a delay slot at pc %d")
+
+(* Both slots past the end, then only the second: the reference fetches
+   both slots before running either. *)
+let test_slots_past_end () =
+  check_slot_error "slots-past-end" ~cut:2 (fun bpc ->
+      Printf.sprintf "pc out of range: %d" (bpc + 1));
+  check_slot_error "slot-past-end" ~cut:1 (fun bpc ->
+      Printf.sprintf "pc out of range: %d" (bpc + 2))
+
 (* Trace formation is a function of the image alone: two fresh compiles
    of one program, each run traced once, form the same traces in the
    same order — structurally equal [ts_plans] and the same number
@@ -848,6 +989,11 @@ let suite =
           Alcotest.test_case "trace-fuel" `Quick test_trace_fuel;
           Alcotest.test_case "trace-attach-idempotent" `Quick
             test_trace_attach_idempotent;
+          Alcotest.test_case "slot-gen-loop" `Quick test_slot_gen_loop;
+          Alcotest.test_case "slot-gen-leader" `Quick test_slot_gen_leader;
+          Alcotest.test_case "slot-control" `Quick test_slot_control;
+          Alcotest.test_case "slot-gen-trap" `Quick test_slot_gen_trap;
+          Alcotest.test_case "slots-past-end" `Quick test_slots_past_end;
           Alcotest.test_case "formation-determinism" `Quick
             test_formation_determinism;
           Alcotest.test_case "compress-round-trip" `Quick
