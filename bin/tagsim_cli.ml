@@ -76,10 +76,10 @@ let engine_arg =
     & opt (conv (parse, print)) `Traced
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Simulator engine: $(b,traced) (default; profile-guided \
-           superblock traces over fused blocks) or $(b,reference) (the \
-           re-decoding interpreter).  Both produce bit-identical \
-           statistics.")
+          "Simulator engine: $(b,traced) (default; cold code on the \
+           re-decoding interpreter, hot paths in profile-guided \
+           superblock traces) or $(b,reference) (the re-decoding \
+           interpreter alone).  Both produce bit-identical statistics.")
 
 let jobs =
   Arg.(

@@ -111,16 +111,12 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Traced-engine attachment caches: the fused block array compiled on
-     the first traced [load] and installed directly on every later
-     machine for this program (the blocks capture only the image and the
-     hardware configuration, both fixed per program, never the machine).
-     [[||]] until first use; guarded by length, as in [Fuse.attach]. *)
-  mutable blocks_cache : Machine.block option array;
   mutable tstate_cache : Machine.tstate option;
-      (* the traced engine's heat/edge profile and formed traces,
-         likewise shared across machines so traces learned by one run
-         serve the next *)
+      (* the traced engine's leader bitmap, heat/edge profile and formed
+         traces, built on the first traced [load] and shared by every
+         later machine for this program, so traces learned by one run
+         serve the next (traces capture only the image and the hardware
+         configuration, both fixed per program, never the machine) *)
 }
 
 let count_lines src =
@@ -355,7 +351,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     sizes;
     mem_bytes;
     meta;
-    blocks_cache = [||];
     tstate_cache = None;
   }
 
@@ -457,14 +452,11 @@ let load ?fuel ?(engine = `Traced) t =
   (match engine with
   | `Reference -> ()
   | `Traced ->
-      if Array.length t.blocks_cache = code_len then
-        m.Machine.blocks <- t.blocks_cache;
       (match t.tstate_cache with
       | Some ts when Array.length ts.Machine.ts_traces = code_len ->
           m.Machine.tstate <- Some ts
       | _ -> ());
       Trace.attach m;
-      t.blocks_cache <- m.Machine.blocks;
       t.tstate_cache <- m.Machine.tstate);
   let map =
     L.compute_map ~data_end:t.image.Image.data_end ~sizes:t.sizes

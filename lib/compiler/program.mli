@@ -31,11 +31,9 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* Traced-engine attachment caches, built on the first traced [load]
-     and shared by every later machine for this program (the blocks
-     capture only the image and hardware configuration, never a
-     machine). *)
-  mutable blocks_cache : Machine.block option array;
+  (* The traced engine's state, built on the first traced [load] and
+     shared by every later machine for this program (its traces capture
+     only the image and hardware configuration, never a machine). *)
   mutable tstate_cache : Machine.tstate option;
 }
 

@@ -1,56 +1,46 @@
-(** Basic-block fusion: tier 1 of the traced engine.
+(** The trace compiler's building blocks: the static control-flow
+    graph, the static statistics builder, and the one instruction
+    compiler of the traced engine.
 
-    [attach] builds the static control-flow graph over a machine's code
-    (leaders: the entry point, every code label, branch/jump targets,
-    fall-throughs after a control instruction and its two delay slots,
-    and the resumption point after each generic-arithmetic instruction)
-    and fuses each straight-line run of instructions — terminator and
-    delay slots included — into a single block closure; the traced run
-    loop ([Machine.run] once {!Trace.attach} has run) dispatches once
-    per block instead of once per instruction.
+    {!leaders} marks the basic-block leaders of a machine's code (the
+    entry point, every code label, branch/jump targets, fall-throughs
+    after a control instruction and its two delay slots, and the
+    resumption point after each generic-arithmetic instruction): the
+    pcs the traced run loop profiles and {!Trace} grows superblocks
+    from.  {!shape} gives the straight-line run a leader begins, with
+    its terminator and delay slots.
 
-    Inside a block everything statically knowable is pre-summed at fuse
-    time into one {!delta} applied in a single shot on block entry:
-    instruction and class counts, per-slot annotation cycles, ALU and
-    wide-immediate cycle charges, load-use interlocks between adjacent
-    in-block instructions (fully determined by the instruction pair),
-    and the terminator's own issue cycle.  The remaining per-instruction
-    work is threaded as a continuation chain — each closure does only
-    the genuinely dynamic part (register writes, memory traffic, trap
-    and abort detection) and tail-calls the next; no-ops and writes to
-    the zero register vanish entirely.  A dynamic early exit (division
-    by zero, a checked-access type trap, a generic-arithmetic trap)
-    subtracts the pre-summed statistics of the instructions that did not
-    execute and refunds their pre-paid fuel, so the engine stays
-    bit-identical to the reference interpreter — statistics, abort
-    codes, fuel trajectory and all (enforced by the engine differential
-    suite).
+    A compiled path pre-sums everything statically knowable into one
+    {!delta} applied in a single shot on entry: instruction and class
+    counts, per-slot annotation cycles, ALU and wide-immediate cycle
+    charges, load-use interlocks between adjacent instructions (fully
+    determined by the instruction pair), and each terminator's issue
+    cycle.  The remaining per-instruction work is threaded as a
+    continuation chain: {!compile_op} turns each simple instruction
+    into a closure doing only the genuinely dynamic part (register
+    writes, memory traffic, trap and abort detection) that tail-calls
+    the next, with the operator of a never-trapping operation inlined;
+    no-ops and writes to the zero register vanish entirely.
+    {!cond_test} likewise compiles every branch condition.  A dynamic
+    early exit (division by zero, a checked-access type trap, a
+    generic-arithmetic trap, a memory fault) subtracts the pre-summed
+    statistics of the instructions that did not execute and refunds
+    their pre-paid fuel, so the engine stays bit-identical to the
+    reference interpreter — statistics, abort codes, machine errors and
+    fuel trajectory (enforced by the engine differential suite).
 
-    Delay slots are fused into their branch whenever both slot
+    Delay slots are compiled into their branch only when both slot
     instructions are simple (not control, not generic arithmetic): the
     branch's [interlock_check] resets [pending_load], so slot interlocks
     are static — the first slot never interlocks and the second only
-    against a load in the first — and a conditional branch compiles two
-    slot chains (taken and fall-through) differing only in the final pc
-    update.  Register-indirect jumps latch their target in
-    [Machine.jump_target] before the slots run (a slot may clobber the
-    register).  Slots ride their branch's top-level retirement, so they
-    consume no fuel of their own.  A branch whose slots are not simple,
-    or run off the end of code, is never fused: the block stops just
-    before it (a leader on such a branch gets no block at all), and the
-    traced run loop steps the branch and its slots on the reference
-    [Machine.step], which defines them exactly.  Compiler-produced code
-    never builds such slots; only raw images do.
-
-    One compiler, {!compile_op}, turns each simple instruction into its
-    closure for both tiers, with the operator of a never-trapping
-    operation inlined; {!cond_test} likewise compiles every branch
-    condition, for block terminators and trace guards alike.
-
-    The per-step [pending_load] interlock probe survives only at block
-    entry (the previous block may end in a load); everywhere else it is
-    resolved statically, and [pending_load] itself is written only at
-    block exits. *)
+    against a load in the first.  Register-indirect jumps latch their
+    target in [Machine.jump_target] before the slots run (a slot may
+    clobber the register).  Slots ride their branch's top-level
+    retirement, so they consume no fuel of their own.  A branch whose
+    slots are not simple, or run off the end of code, has no terminator
+    in its {!shape}, so no trace grows through it and the reference
+    [Machine.step] runs it.  Compiler-produced code never builds such
+    slots; only raw images do. *)
 
 module M = Machine
 module Insn = Tagsim_mipsx.Insn
@@ -59,7 +49,7 @@ module Reg = Tagsim_mipsx.Reg
 module Word = Tagsim_mipsx.Word
 module Image = Tagsim_asm.Image
 
-(* The fused continuation chain returns the successor pc so the dispatch
+(* A compiled continuation chain returns the successor pc so the dispatch
    loop never round-trips through [t.pc]; [stopped] (any negative value)
    signals that the outcome has been decided instead. *)
 type chain_fn = M.t -> int
@@ -73,10 +63,9 @@ let nop_klass = Insn.klass_index Insn.K_nop
 let n_kind_slots = Array.length (Stats.create ()).Stats.kind_cycles
 let n_klass_slots = Array.length (Stats.create ()).Stats.klass_insns
 
-(* --- Static statistics: one sparse builder shared by fused blocks and
-   superblock traces. ---
+(* --- Static statistics: one sparse builder for superblock traces. ---
 
-   Each unit of a block or trace — an instruction, or the annulled slot
+   Each unit of a trace — an instruction, or the annulled slot
    pair of a squashing branch — contributes a compact immediate int.  A
    compiler sweeps its units once, right to left, adding each to one
    dense running accumulator; since a dynamic exit owes back exactly
@@ -167,7 +156,7 @@ let acc_add a (u : ustat) =
     instruction, interlock and squashed-slot totals, [4] holds the index
     just past the kind-counter pairs, and the rest are sparse (index,
     amount) pairs in ascending index order — kind-cycle pairs first,
-    class-count pairs after — because a block typically touches a
+    class-count pairs after — because a path typically touches a
     handful of the counter slots. *)
 type delta = int array
 
@@ -257,7 +246,7 @@ let delta_undo (s : Stats.t) (d : delta) =
     i := !i + 2
   done
 
-(* Specialised applier for a delta on the hot block-entry path: the
+(* Specialised applier for a delta on the hot trace-entry path: the
    common small shapes (one or two kind pairs, one or two class pairs)
    compile to straight-line adds through a flat closure, which beats the
    generic header-and-sweep of [delta_apply]; anything larger falls back
@@ -317,8 +306,8 @@ let apply_fn (d : delta) : Stats.t -> unit =
         Array.unsafe_set ki j2 (Array.unsafe_get ki j2 + w2)
   | _ -> fun s -> delta_apply s d
 
-(* Dynamic block-entry interlock (the one probe fusion cannot remove:
-   the previous block may end in a load). *)
+(* Dynamic trace-entry interlock (the one probe compilation cannot
+   remove: whatever ran before the trace may end in a load). *)
 let interlock_stats (t : M.t) =
   let s = t.M.stats in
   s.Stats.cycles <- s.Stats.cycles + 1;
@@ -346,7 +335,7 @@ let interlocks_after prev_insn next_insn =
 let exit_pl_of (insn : int Insn.t) =
   match insn with Insn.Ld (_, rd, _, _) -> rd | _ -> -1
 
-(* --- Block construction. --- *)
+(* --- Static control flow. --- *)
 
 let squash_of (e : Image.entry) =
   match e.Image.insn with
@@ -355,16 +344,15 @@ let squash_of (e : Image.entry) =
   | Insn.Btag (b, _) -> b.Insn.bt_squash
   | _ -> false
 
-type terminator = Ctl of int * Image.entry | Fall of int
-
-(* The static layout of the block led by an address: where the
+(* The static layout of the basic block led by an address: where the
    straight-line run stops, its terminator, and the terminator's two
    delay slots ([None] for the slotless control instructions).  A block
    has no terminator when it falls off the end of code, or when it stops
-   before a branch whose slots cannot be fused (a slot holds a control
-   or generic-arithmetic instruction, or lies past the end of code).
-   Shared with the trace compiler, which walks block shapes along the
-   hot path instead of re-deriving them. *)
+   before a branch whose slots cannot be compiled (a slot holds a
+   control or generic-arithmetic instruction, or lies past the end of
+   code).  The scan runs straight through intermediate leaders, as the
+   run loop's straight-line runs do.  The trace compiler walks these
+   shapes along the hot path. *)
 type shape = {
   sh_stop : int; (* the terminator, or the first address past the block *)
   sh_term : Image.entry option; (* None: the block ends at [sh_stop] *)
@@ -434,8 +422,14 @@ let leaders (m : M.t) =
 
 (* Effective data address, mirroring [Machine.effective] but with the
    instruction's code address resolved statically for the fault message
-   ([t.pc] is stale inside a fused body); returns -1 for a type trap. *)
-let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off =
+   ([t.pc] is stale inside a compiled path); returns -1 for a type trap.
+   [fault] runs just before the access raises a [Machine_error]: here,
+   for an unmasked address, or in [Machine.read_word]/[write_word] for
+   an address past the end of memory.  Only a tag-ignoring mask wider
+   than memory can produce the latter, so only that case pays for the
+   range test. *)
+let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off
+    ~(fault : M.t -> unit) =
   let offw = Word.of_int off in
   let mem_bytes = hw.M.mem_bytes in
   let mem_mask = mem_bytes - 1 in
@@ -444,14 +438,21 @@ let effective_fn (hw : M.hw) (e : Image.entry) p (mode : Insn.mem_mode) off =
       if e.Image.speculative then fun (_ : M.t) base ->
         let addr = Word.add base offw in
         if addr >= mem_bytes then addr land mem_mask else addr
-      else fun (_ : M.t) base ->
+      else fun t base ->
         let addr = Word.add base offw in
-        if addr >= mem_bytes then
+        if addr >= mem_bytes then begin
+          fault t;
           M.errorf "unmasked address 0x%08x at pc %d" addr p
+        end
         else addr
   | Insn.Tag_ignoring ->
       let amask = hw.M.addr_mask in
-      fun _ base -> Word.add base offw land amask
+      if amask land lnot mem_mask = 0 then fun _ base ->
+        Word.add base offw land amask
+      else fun t base ->
+        let addr = Word.add base offw land amask in
+        if addr >= mem_bytes then fault t;
+        addr
   | Insn.Checked expected ->
       let shift = hw.M.tag_shift and width = hw.M.tag_width in
       let exp_shifted = expected lsl shift in
@@ -710,8 +711,10 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
         t.M.regs.(rd) <- t.M.regs.(rs);
         next t
   | Insn.Ld (mode, rd, rs, off) ->
-      let eff = effective_fn hw e p mode off in
+      (* A type trap aborts and a memory fault raises; either way the
+         load's own issue stands and only the suffix is undone. *)
       let u = compress suffix in
+      let eff = effective_fn hw e p mode off ~fault:(exit_early u) in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
         if addr < 0 then begin
@@ -725,8 +728,8 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
           next t
         end
   | Insn.St (mode, rs, rt, off) ->
-      let eff = effective_fn hw e p mode off in
       let u = compress suffix in
+      let eff = effective_fn hw e p mode off ~fault:(exit_early u) in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
         if addr < 0 then begin
@@ -792,188 +795,3 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
   | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _ | Insn.Jal _ | Insn.Jr _
   | Insn.Jalr _ | Insn.Rett | Insn.Trap _ | Insn.Halt ->
       assert false
-
-(* Fuse the block whose leader is [l] and whose shape is [sh]: it stops
-   at the first control instruction at or after [l], just before it, or
-   at the end of code (see {!shape}).  The scan runs straight through
-   intermediate leaders — a block reaching a join point duplicates the
-   join's tail instead of falling through into it, so only control
-   transfers (and stopping short) ever return to the dispatch loop; the
-   overlapped instructions still get their own block for direct
-   entries.  [acc] is the statistics sweep's accumulator, lent by
-   {!compile} so that one serves every leader. *)
-let build_block (m : M.t) (acc : acc) l sh : M.block =
-  let hw = m.M.hw in
-  let code = m.M.code in
-  let stop = sh.sh_stop in
-  let len = stop - l in
-  let term =
-    match sh.sh_term with Some e -> Ctl (stop, e) | None -> Fall stop
-  in
-  let steps = len + (match term with Ctl _ -> 1 | Fall _ -> 0) in
-  let squash = sh.sh_squash in
-  acc_clear acc;
-  let tail : chain_fn =
-    match (term, sh.sh_slots) with
-    | Fall fp, _ ->
-        let exit_pl = exit_pl_of code.(stop - 1).Image.insn in
-        fun t ->
-          t.M.pending_load <- exit_pl;
-          fp
-    | Ctl (_, e), None -> (
-        match e.Image.insn with
-        | Insn.Rett ->
-            fun t ->
-              t.M.pending_load <- -1;
-              t.M.regs.(Reg.epc)
-        | Insn.Trap tc ->
-            let abort_code = M.err_user_base + tc in
-            fun t ->
-              M.abort t abort_code;
-              stopped
-        | Insn.Halt ->
-            fun t ->
-              t.M.outcome <- Some (M.Halted t.M.regs.(Reg.v0));
-              stopped
-        | _ -> assert false)
-    | Ctl (c, e), Some (s1e, s2e) -> (
-        let si = Stats.slot e.Image.annot in
-        let fall = c + 3 in
-        let post_pl = exit_pl_of s2e.Image.insn in
-        (* Slot faults report the branch's address, like the reference
-           (pc sits on the branch while slots run); slots ride the
-           branch's retirement, so their pre-paid fuel refund is zero,
-           and an in-slot exit owes only the unexecuted slot remainder.
-           [slot_chain] starts the sweep over with the pair, leaving both
-           slots' statistics in [acc]. *)
-        let slot_chain (fin : chain_fn) : chain_fn =
-          acc_clear acc;
-          let s2op = compile_op hw s2e ~pc:c ~suffix:acc ~refund:0 ~next:fin in
-          acc_add acc (contribution (Some s1e) s2e);
-          let s1op = compile_op hw s1e ~pc:c ~suffix:acc ~refund:0 ~next:s2op in
-          acc_add acc (contribution None s1e);
-          s1op
-        in
-        let goto target : chain_fn =
-         fun t ->
-          t.M.pending_load <- post_pl;
-          target
-        in
-        let indirect : chain_fn =
-         fun t ->
-          t.M.pending_load <- post_pl;
-          t.M.jump_target
-        in
-        match e.Image.insn with
-        | Insn.B (_, target) | Insn.Bi (_, target) | Insn.Btag (_, target) ->
-            (* The taken/not-taken continuation pair: a squashing branch
-               applies the slot delta only when the slots actually run
-               and charges the annulled cycles to its own kind slot
-               otherwise; the condition test dispatches between the two
-               pre-built closures directly. *)
-            let test = cond_test hw e in
-            let on_true, on_false =
-              if squash then
-                let taken_chain = slot_chain (goto target) in
-                let slots_apply = apply_fn (compress acc) in
-                ( (fun t ->
-                    slots_apply t.M.stats;
-                    taken_chain t),
-                  fun t ->
-                    let s = t.M.stats in
-                    s.Stats.squashed <- s.Stats.squashed + 2;
-                    s.Stats.cycles <- s.Stats.cycles + 2;
-                    s.Stats.kind_cycles.(si) <- s.Stats.kind_cycles.(si) + 2;
-                    t.M.pending_load <- -1;
-                    fall )
-              else (slot_chain (goto target), slot_chain (goto fall))
-            in
-            fun t -> if test t then on_true t else on_false t
-        | Insn.J target -> slot_chain (goto target)
-        | Insn.Jal target ->
-            let ch = slot_chain (goto target) in
-            fun t ->
-              t.M.regs.(Reg.ra) <- fall;
-              ch t
-        | Insn.Jr rs ->
-            let ch = slot_chain indirect in
-            fun t ->
-              t.M.jump_target <- t.M.regs.(rs);
-              ch t
-        | Insn.Jalr rs ->
-            (* Target read before the link write, like the reference
-               (jalr through ra must jump to the old value). *)
-            let ch = slot_chain indirect in
-            fun t ->
-              t.M.jump_target <- t.M.regs.(rs);
-              t.M.regs.(Reg.ra) <- fall;
-              ch t
-        | _ -> assert false)
-  in
-  (* The block-entry delta covers every unit that unconditionally
-     retires when the block runs to completion: the body and terminator
-     always; fused slots only when the branch cannot annul them (a
-     squashing branch applies the slot delta on its taken path
-     instead).  One sweep, right to left, builds it: the slots (the
-     first never interlocks — the branch reset [pending_load] — and the
-     second only against a load in the first), the terminator (count,
-     issue cycle, and its statically resolved interlock against the
-     body's trailing load), then the body, threaded through the
-     terminator as one continuation chain, innermost first, each
-     instruction compiled before its own unit joins the sweep.  Building
-     [tail] left the fused slots in [acc]. *)
-  if squash then acc_clear acc;
-  (match term with
-  | Fall _ -> ()
-  | Ctl (_, e) ->
-      acc_add acc
-        (contribution (if len > 0 then Some code.(stop - 1) else None) e));
-  let body = ref tail in
-  for k = len - 1 downto 0 do
-    let e = code.(l + k) in
-    body :=
-      compile_op hw e ~pc:(l + k) ~suffix:acc ~refund:(steps - (k + 1))
-        ~next:!body;
-    acc_add acc (contribution (if k = 0 then None else Some code.(l + k - 1)) e)
-  done;
-  let body = !body in
-  let entry_apply = apply_fn (compress acc) in
-  (* The one dynamic interlock probe: the block's first instruction
-     against the previous block's trailing load.  (It does not reset
-     [pending_load] — nothing reads it again before a block exit writes
-     it.) *)
-  let er1, er2 = read_regs code.(l).Image.insn in
-  let exec =
-    if er1 < 0 && er2 < 0 then fun t ->
-      entry_apply t.M.stats;
-      body t
-    else fun t ->
-      let pl = t.M.pending_load in
-      if pl >= 0 && (pl = er1 || pl = er2) then interlock_stats t;
-      entry_apply t.M.stats;
-      body t
-  in
-  { M.b_pc = l; M.b_steps = steps; M.b_exec = exec }
-
-(* A leader sitting on a branch that fusion leaves to the reference
-   [step] gets no block: the run loop steps it. *)
-let compile (m : M.t) : M.block option array =
-  let n = Array.length m.M.code in
-  let leader = leaders m in
-  let acc = acc_create () in
-  Array.init n (fun l ->
-      if not leader.(l) then None
-      else
-        let sh = shape m l in
-        if sh.sh_stop = l && Option.is_none sh.sh_term then None
-        else Some (build_block m acc l sh))
-
-(** Build and install the block array; idempotent.  The staleness test
-    is on array lengths: [blocks] starts out as the shared empty atom,
-    and compiling an empty code image yields that same atom, so a
-    structural [m.blocks = [||]] guard would recompile every empty-code
-    machine on every call, whereas a compiled array has the code's
-    length by construction. *)
-let attach (m : M.t) =
-  if Array.length m.M.blocks <> Array.length m.M.code then
-    m.M.blocks <- compile m

@@ -1,39 +1,45 @@
-(** Basic-block fusion, tier 1 of the traced engine: straight-line runs
-    of instructions are fused into single block closures with all
-    statically-knowable statistics (instruction and class counts,
-    per-slot cycle charges, in-block load-use interlocks) pre-summed
-    into one delta applied on block entry.  The traced run loop
-    dispatches once per block instead of once per instruction.
-    Produces bit-identical {!Stats.t} to the reference interpreter —
-    including on dynamic early exits (division by zero, checked-load
-    type traps, generic-arithmetic traps), which undo the pre-summed
-    statistics and refund the pre-paid fuel of the unexecuted block
-    suffix (enforced by the engine differential suite).  A branch whose
-    delay slots cannot be fused (a slot holds a control or
-    generic-arithmetic instruction, or lies past the end of code) ends
-    the block before it and is stepped by the reference
-    [Machine.step].
-
-    The building blocks of fusion — the static statistics builder,
-    flattened deltas, and the one continuation-chain compiler for simple
-    instructions and branch conditions — are exposed below for {!Trace},
-    which reuses them to compile multi-block superblocks; they are not
-    meant for use outside [lib/sim]. *)
+(** The building blocks of the traced engine's one compiler, exposed
+    for {!Trace}, which uses them to compile superblocks; they are not
+    meant for use outside [lib/sim].  The static control-flow graph
+    ({!leaders}, {!shape}), the static statistics builder with its
+    flattened deltas, and the continuation-chain compiler for simple
+    instructions ({!compile_op}) and branch conditions ({!cond_test}).
+    Compiled code produces bit-identical {!Stats.t} to the reference
+    interpreter, including on dynamic early exits (division by zero,
+    checked-load type traps, generic-arithmetic traps, memory faults),
+    which undo the pre-summed statistics and refund the pre-paid fuel
+    of the unexecuted suffix (enforced by the engine differential
+    suite). *)
 
 module Image := Tagsim_asm.Image
 module Insn := Tagsim_mipsx.Insn
 
-(** Build and install the block array on the machine; idempotent.
-    Index [i] is [Some] iff [i] is a block leader — the entry point, a
-    code label, a branch or jump target, the fall-through after a
-    control instruction and its two delay slots, or the resumption point
-    after a generic-arithmetic instruction — that is not itself a branch
-    with unfusible delay slots.  Called by {!Trace.attach}. *)
-val attach : Machine.t -> unit
+(** {1 Static control flow} *)
 
-(** {1 Fusion building blocks (shared with {!Trace})} *)
+(** The basic-block leaders of the machine's code, by pc: the entry
+    point, a code label, a branch or jump target, the fall-through after
+    a control instruction and its two delay slots, or the resumption
+    point after a generic-arithmetic instruction.  {!Trace.attach}
+    stores the bitmap in the trace-engine state. *)
+val leaders : Machine.t -> bool array
 
-(** A fused continuation returns the successor pc, or {!stopped} (any
+(** The static layout of the basic block led by an address (the trace
+    compiler walks shapes along the hot path).  A block without a
+    terminator either falls off the end of code or stops just before a
+    branch whose delay slots cannot be compiled; [sh_slots] holds the
+    two delay slots of a branch or jump terminator. *)
+type shape = {
+  sh_stop : int; (* the terminator, or the first address past the block *)
+  sh_term : Image.entry option; (* None: the block ends at [sh_stop] *)
+  sh_slots : (Image.entry * Image.entry) option;
+  sh_squash : bool;
+}
+
+val shape : Machine.t -> int -> shape
+
+(** {1 Compiled continuations} *)
+
+(** A compiled continuation returns the successor pc, or {!stopped} (any
     negative value) once the outcome is decided. *)
 type chain_fn = Machine.t -> int
 
@@ -41,7 +47,7 @@ val stopped : int
 
 (** {2 The static statistics builder}
 
-    A compiler sweeps the units of a block or trace right to left
+    The trace compiler sweeps the units of a trace right to left
     through one dense running accumulator; entry, guard and undo deltas
     are sparse snapshots of it. *)
 
@@ -91,8 +97,8 @@ val apply_fn : delta -> Stats.t -> unit
 
 val delta_undo : Stats.t -> delta -> unit
 
-(** The dynamic block/trace-entry interlock charge (the one probe fusion
-    cannot remove: the previous block may end in a load). *)
+(** The dynamic trace-entry interlock charge (the one probe compilation
+    cannot remove: whatever ran before the trace may end in a load). *)
 val interlock_stats : Machine.t -> unit
 
 (** Registers read by an instruction as a pre-resolved pair (at most
@@ -100,19 +106,18 @@ val interlock_stats : Machine.t -> unit
 val read_regs : int Insn.t -> int * int
 
 (** The register left with an in-flight load by an instruction at a
-    block exit (-1 for anything but a load). *)
+    trace exit (-1 for anything but a load). *)
 val exit_pl_of : int Insn.t -> int
-
-val squash_of : Image.entry -> bool
 
 (** Compile one simple (non-control, possibly trapping) instruction
     into a closure doing only the genuinely dynamic work, tail-calling
-    [next] on the success path; the one such compiler for both tiers.
+    [next] on the success path; the engine's one such compiler.
     [suffix] holds the statistics pre-summed for every unit after this
     one; an instruction that can exit early snapshots its undo delta
     from it during the call (a division adds back its own success-path
     charge).  On a dynamic exit the closure undoes that delta, refunds
-    [refund] pre-paid fuel, and does not call [next]. *)
+    [refund] pre-paid fuel, and does not call [next]; a load or store
+    that raises [Machine.Machine_error] does the same before raising. *)
 val compile_op :
   Machine.hw ->
   Image.entry ->
@@ -123,20 +128,5 @@ val compile_op :
   chain_fn
 
 (** A conditional branch's condition ([B], [Bi] or [Btag]) as a test
-    with the comparison inlined: the one branch-condition compiler for
-    block terminators and trace guards. *)
+    with the comparison inlined, for trace guards. *)
 val cond_test : Machine.hw -> Image.entry -> Machine.t -> bool
-
-(** The static layout of the block led by an address (shared with the
-    trace compiler, which walks shapes along the hot path).  A block
-    without a terminator either falls off the end of code or stops just
-    before a branch whose delay slots cannot be fused; [sh_slots] holds
-    the two fused delay slots of a branch or jump terminator. *)
-type shape = {
-  sh_stop : int; (* the terminator, or the first address past the block *)
-  sh_term : Image.entry option; (* None: the block ends at [sh_stop] *)
-  sh_slots : (Image.entry * Image.entry) option;
-  sh_squash : bool;
-}
-
-val shape : Machine.t -> int -> shape

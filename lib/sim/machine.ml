@@ -28,11 +28,11 @@ let errorf fmt = Fmt.kstr (fun s -> raise (Machine_error s)) fmt
 
 (** Execution engine selector.  [`Reference] re-decodes every retired
     instruction (the original interpreter, kept as the semantic
-    oracle); [`Traced] runs fused basic-block closures ({!Fuse}) under
-    an edge-heat profile and promotes hot paths into superblock traces
-    compiled by {!Trace} (attached with {!Trace.attach}), dispatching
-    once per trace on the hot paths.  Both engines must produce
-    bit-identical statistics.  {!run} picks the loop from the attached
+    oracle); [`Traced] steps cold code on the same interpreter under a
+    per-leader heat and edge profile and promotes hot paths into
+    superblock traces compiled by {!Trace} (attached with
+    {!Trace.attach}), dispatching once per trace.  Both engines must
+    produce bit-identical statistics.  {!run} picks the loop from the attached
     state, not from this type: it names the engines for the CLI, the
     measurement keys and the fuzzer. *)
 type engine = [ `Reference | `Traced ]
@@ -75,7 +75,7 @@ type t = {
   mutable pc : int;
   mutable pending_load : int; (* register with an in-flight load, or -1 *)
   mutable jump_target : int;
-      (* scratch for fused register-indirect jumps: the target is read
+      (* scratch for traced register-indirect jumps: the target is read
          before the delay slots run (they may clobber the register) and
          consumed by the slot chain's final pc update *)
   mutable trap_dest : int; (* destination register of a trapped insn *)
@@ -85,37 +85,18 @@ type t = {
   mutable outcome : outcome option;
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
-  mutable blocks : block option array;
-      (* one fused block per basic-block leader, indexed by leader pc
-         (None at a leader on a branch with unfusible delay slots),
-         installed by Fuse.attach; [||] until then *)
   mutable tstate : tstate option;
       (* trace-engine state (heat/edge profile and formed traces),
          installed by Trace.attach; None until then, and [run] stays on
          the reference interpreter *)
 }
 
-(* A fused basic block: [b_exec] retires the whole straight-line run
-   (body, terminator and its delay slots) in one call, with everything
-   statically knowable pre-summed at fuse time, and returns the next
-   program counter — or a negative value once the outcome is decided —
-   so the hot dispatch path never round-trips through [t.pc] (the slow
-   paths below re-materialise it).  [b_steps] is the number of top-level
-   retirements the block performs when it runs to completion (delay
-   slots ride their branch's retirement); the run loop pre-pays that
-   much fuel before entry (closures refund the unretired remainder on an
-   early dynamic exit).  Blocks are immutable, so block arrays may be
-   shared between machines running in parallel domains. *)
-and block = {
-  b_pc : int; (* leader address of this block *)
-  b_steps : int;
-  b_exec : t -> int;
-}
-
 (* Trace-engine state, one per attached code image (shareable between
-   machines running the same image, like [blocks]).  [ts_heat] counts
-   block entries per leader while non-negative; crossing [ts_threshold]
-   saturates the counter to [min_int] and calls [ts_form], which either
+   machines running the same image).  [ts_leader] marks the basic-block
+   leaders ({!Fuse.leaders}), the only pcs that are profiled and can
+   head a trace or a trace segment.  [ts_heat] counts entries per leader
+   while non-negative; crossing [ts_threshold] saturates the counter to
+   [min_int] and calls [ts_form], which either
    installs a superblock trace in [ts_traces] (permanently hot) or —
    when the head could become formable once more edge profile
    accumulates — resets the counter to retry.  [ts_succ1]/[ts_cnt1] and
@@ -129,6 +110,7 @@ and block = {
    formed trace.  [ts_dirty] is never set: it stays only for tagbench/,
    which still reads it. *)
 and tstate = {
+  ts_leader : bool array;
   ts_traces : trace option array;
   ts_heat : int array;
   ts_succ1 : int array;
@@ -142,18 +124,17 @@ and tstate = {
 }
 
 (* A compiled superblock trace: [tr_exec] retires the whole expected
-   path ([tr_blocks] fused blocks, [tr_steps] top-level retirements,
-   pre-paid like a block's) in one call and returns the next pc —
-   [tr_exit] when the expected path ran to the end, some other pc after
-   a guarded side exit (which has already rolled statistics and fuel
-   back to the exact per-block values), or a negative value once the
-   outcome is decided.  [tr_next] memoises the trace at [tr_exit] for
-   direct trace chaining (a loop trace chains to itself); the memo is
-   validated against the immutable [tr_pc], so a stale or torn read can
-   only miss, never run the wrong trace. *)
+   path ([tr_steps] top-level retirements, pre-paid by the run loop) in
+   one call and returns the next pc — [tr_exit] when the expected path
+   ran to the end, some other pc after a guarded side exit (which has
+   already rolled statistics and fuel back to the exact values of the
+   instructions that ran), or a negative value once the outcome is
+   decided.  [tr_next] memoises the trace at [tr_exit] for direct trace
+   chaining (a loop trace chains to itself); the memo is validated
+   against the immutable [tr_pc], so a stale or torn read can only miss,
+   never run the wrong trace. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
-  tr_blocks : int;
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
@@ -203,7 +184,6 @@ let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
     outcome = None;
     fuel;
     in_slot = false;
-    blocks = [||];
     tstate = None;
   }
 
@@ -291,25 +271,24 @@ let cond_eval (c : Insn.cond) a b =
 
 let abort t code = t.outcome <- Some (Aborted code)
 
-(* Effective data address for a memory access. *)
+(* Effective data address for a memory access, or -1 for a type trap
+   (addresses are words, hence non-negative). *)
 let effective t (mode : Insn.mem_mode) base off ~speculative =
   let addr = Word.add base (Word.of_int off) in
   match mode with
   | Insn.Plain ->
       if addr >= t.hw.mem_bytes then
-        if speculative then Some (addr land (t.hw.mem_bytes - 1))
+        if speculative then addr land (t.hw.mem_bytes - 1)
         else errorf "unmasked address 0x%08x at pc %d" addr t.pc
-      else Some addr
-  | Insn.Tag_ignoring -> Some (addr land t.hw.addr_mask)
+      else addr
+  | Insn.Tag_ignoring -> addr land t.hw.addr_mask
   | Insn.Checked expected ->
-      if tag_of t base <> expected then None (* type trap *)
+      if tag_of t base <> expected then -1 (* type trap *)
       else
         (* The verified tag is subtracted (not masked) out of the address:
            with low-order tags an index may have carried into the tag
            field's upper bit, which a mask would corrupt. *)
-        Some
-          (Word.sub addr (expected lsl t.hw.tag_shift)
-          land (t.hw.mem_bytes - 1))
+        Word.sub addr (expected lsl t.hw.tag_shift) land (t.hw.mem_bytes - 1)
 
 (* A load-use dependence costs one no-op cycle, as if the assembler had
    inserted a delay no-op (counted in the no-op instruction class). *)
@@ -321,49 +300,54 @@ let interlock_check t (insn : int Insn.t) =
   end;
   t.pending_load <- -1
 
+let charge t (e : Image.entry) c = Stats.charge t.stats e.Image.annot c
+
 (* Execute a non-control instruction (possibly sitting in a delay slot). *)
 let exec_simple t (e : Image.entry) =
   let insn = e.Image.insn in
   interlock_check t insn;
   Stats.count_insn t.stats (Insn.klass insn);
-  let charge c = Stats.charge t.stats e.Image.annot c in
   (match insn with
   | Insn.Alu (op, rd, rs, rt) ->
       let b = t.regs.(rt) in
       if (op = Insn.Div || op = Insn.Rem) && b = 0 then abort t err_div0
       else begin
-        charge (alu_cycles op);
+        charge t e (alu_cycles op);
         set_reg t rd (alu_eval op t.regs.(rs) b)
       end
   | Insn.Alui (op, rd, rs, imm) ->
       if (op = Insn.Div || op = Insn.Rem) && imm = 0 then abort t err_div0
       else begin
-        charge (alu_cycles op);
+        charge t e (alu_cycles op);
         set_reg t rd (alu_eval op t.regs.(rs) (Word.of_int imm))
       end
   | Insn.Li (rd, imm) ->
-      charge (Word.imm_cycles imm);
+      charge t e (Word.imm_cycles imm);
       set_reg t rd imm
   | Insn.La (rd, addr) ->
-      charge (Word.imm_cycles addr);
+      charge t e (Word.imm_cycles addr);
       set_reg t rd addr
   | Insn.Mv (rd, rs) ->
-      charge 1;
+      charge t e 1;
       set_reg t rd t.regs.(rs)
-  | Insn.Ld (mode, rd, rs, off) -> (
-      charge 1;
-      match effective t mode t.regs.(rs) off ~speculative:e.Image.speculative with
-      | Some addr ->
-          set_reg t rd (read_word t addr);
-          t.pending_load <- rd
-      | None -> abort t err_type)
-  | Insn.St (mode, rs, rt, off) -> (
-      charge 1;
-      match effective t mode t.regs.(rs) off ~speculative:e.Image.speculative with
-      | Some addr -> write_word t addr t.regs.(rt)
-      | None -> abort t err_type)
+  | Insn.Ld (mode, rd, rs, off) ->
+      charge t e 1;
+      let addr =
+        effective t mode t.regs.(rs) off ~speculative:e.Image.speculative
+      in
+      if addr < 0 then abort t err_type
+      else begin
+        set_reg t rd (read_word t addr);
+        t.pending_load <- rd
+      end
+  | Insn.St (mode, rs, rt, off) ->
+      charge t e 1;
+      let addr =
+        effective t mode t.regs.(rs) off ~speculative:e.Image.speculative
+      in
+      if addr < 0 then abort t err_type else write_word t addr t.regs.(rt)
   | Insn.Add_gen (rd, rs, rt) | Insn.Sub_gen (rd, rs, rt) -> (
-      charge 1;
+      charge t e 1;
       let is_add = match insn with Insn.Add_gen _ -> true | _ -> false in
       let a = t.regs.(rs) and b = t.regs.(rt) in
       let result = if is_add then Word.add a b else Word.sub a b in
@@ -394,9 +378,9 @@ let exec_simple t (e : Image.entry) =
           (* -1: the main loop will advance pc by one. *)
         end)
   | Insn.Settd rs ->
-      charge 1;
+      charge t e 1;
       set_reg t t.trap_dest t.regs.(rs)
-  | Insn.Nop -> charge 1
+  | Insn.Nop -> charge t e 1
   | Insn.B _ | Insn.Bi _ | Insn.Btag _ | Insn.J _ | Insn.Jal _ | Insn.Jr _
   | Insn.Jalr _ | Insn.Rett | Insn.Trap _ | Insn.Halt ->
       errorf "control instruction in a delay slot at pc %d" t.pc);
@@ -408,72 +392,79 @@ let fetch t i =
   if i < 0 || i >= Array.length t.code then errorf "pc out of range: %d" i
   else t.code.(i)
 
+(* The helpers of [step], at top level so that a step allocates no
+   closures: it runs all cold code of the traced engine. *)
+
+(* Slots run with pc conceptually past the branch; aborts inside a slot
+   stop execution before the jump. *)
+let exec_slots t =
+  let s1 = fetch t (t.pc + 1) and s2 = fetch t (t.pc + 2) in
+  t.in_slot <- true;
+  exec_simple t s1;
+  (match t.outcome with None -> exec_simple t s2 | Some _ -> ());
+  t.in_slot <- false
+
+let squash_slots t (e : Image.entry) =
+  t.stats.Stats.squashed <- t.stats.Stats.squashed + 2;
+  t.stats.Stats.cycles <- t.stats.Stats.cycles + 2;
+  let s = Stats.slot e.Image.annot in
+  t.stats.Stats.kind_cycles.(s) <- t.stats.Stats.kind_cycles.(s) + 2
+
+(* Retire the control instruction [e] at [t.pc]: its issue, then its
+   slots (or their annulment), then the jump. *)
+let branch_to t (e : Image.entry) ~taken ~squash target =
+  let insn = e.Image.insn in
+  interlock_check t insn;
+  Stats.count_insn t.stats (Insn.klass insn);
+  charge t e 1;
+  if squash && not taken then squash_slots t e else exec_slots t;
+  match t.outcome with
+  | None -> t.pc <- (if taken then target else t.pc + 3)
+  | Some _ -> ()
+
 (* Execute the instruction at [t.pc]; advances [t.pc]. *)
 let step t =
   let e = fetch t t.pc in
   let insn = e.Image.insn in
-  let charge c = Stats.charge t.stats e.Image.annot c in
-  let exec_slots () =
-    (* Slots run with pc conceptually past the branch; aborts inside a slot
-       stop execution before the jump. *)
-    let s1 = fetch t (t.pc + 1) and s2 = fetch t (t.pc + 2) in
-    t.in_slot <- true;
-    exec_simple t s1;
-    if t.outcome = None then exec_simple t s2;
-    t.in_slot <- false
-  in
-  let squash_slots () =
-    t.stats.Stats.squashed <- t.stats.Stats.squashed + 2;
-    t.stats.Stats.cycles <- t.stats.Stats.cycles + 2;
-    let s = Stats.slot e.Image.annot in
-    t.stats.Stats.kind_cycles.(s) <- t.stats.Stats.kind_cycles.(s) + 2
-  in
-  let branch_to ~taken ~squash target =
-    interlock_check t insn;
-    Stats.count_insn t.stats (Insn.klass insn);
-    charge 1;
-    if squash && not taken then squash_slots () else exec_slots ();
-    if t.outcome = None then t.pc <- (if taken then target else t.pc + 3)
-  in
   match insn with
   | Insn.B (b, target) ->
       let taken = cond_eval b.Insn.cond t.regs.(b.Insn.rs) t.regs.(b.Insn.rt) in
-      branch_to ~taken ~squash:b.Insn.squash target
+      branch_to t e ~taken ~squash:b.Insn.squash target
   | Insn.Bi (b, target) ->
       let taken =
         cond_eval b.Insn.bi_cond t.regs.(b.Insn.bi_rs)
           (Word.of_int b.Insn.bi_imm)
       in
-      branch_to ~taken ~squash:b.Insn.bi_squash target
+      branch_to t e ~taken ~squash:b.Insn.bi_squash target
   | Insn.Btag (b, target) ->
       let tag = tag_of t t.regs.(b.Insn.bt_rs) in
       let taken = if b.Insn.bt_neg then tag <> b.Insn.bt_tag
                   else tag = b.Insn.bt_tag in
-      branch_to ~taken ~squash:b.Insn.bt_squash target
-  | Insn.J target -> branch_to ~taken:true ~squash:false target
+      branch_to t e ~taken ~squash:b.Insn.bt_squash target
+  | Insn.J target -> branch_to t e ~taken:true ~squash:false target
   | Insn.Jal target ->
       set_reg t Reg.ra (t.pc + 3);
-      branch_to ~taken:true ~squash:false target
+      branch_to t e ~taken:true ~squash:false target
   | Insn.Jr rs ->
       let target = t.regs.(rs) in
-      branch_to ~taken:true ~squash:false target
+      branch_to t e ~taken:true ~squash:false target
   | Insn.Jalr rs ->
       let target = t.regs.(rs) in
       set_reg t Reg.ra (t.pc + 3);
-      branch_to ~taken:true ~squash:false target
+      branch_to t e ~taken:true ~squash:false target
   | Insn.Rett ->
       interlock_check t insn;
       Stats.count_insn t.stats (Insn.klass insn);
-      charge 1;
+      charge t e 1;
       t.pc <- t.regs.(Reg.epc)
   | Insn.Trap code ->
       interlock_check t insn;
       Stats.count_insn t.stats (Insn.klass insn);
-      charge 1;
+      charge t e 1;
       abort t (err_user_base + code)
   | Insn.Halt ->
       Stats.count_insn t.stats (Insn.klass insn);
-      charge 1;
+      charge t e 1;
       t.outcome <- Some (Halted t.regs.(Reg.v0))
   | Insn.Alu _ | Insn.Alui _ | Insn.Li _ | Insn.La _ | Insn.Mv _ | Insn.Ld _
   | Insn.St _ | Insn.Add_gen _ | Insn.Sub_gen _ | Insn.Settd _ | Insn.Nop ->
@@ -541,27 +532,29 @@ let reset_trace_counters () =
   Atomic.set tt_form_ns_a 0;
   Atomic.set tt_form_words_a 0
 
-(* The traced hot loop: tier 1 is the fused block dispatch, with a
-   per-leader heat/edge profile feeding trace formation and a trace
-   lookup ahead of the block lookup so a formed trace captures its path.
-   Tier 2 dispatches once per trace, chaining a loop trace directly to
-   itself through [tr_next].  Blocks never chain block-to-block: that
-   would skip the trace lookup at the successor, so tier 1 always
-   returns to [goto].  Fuel is pre-paid at each granularity: a trace
-   pre-pays [tr_steps] and falls back to block granularity when it
-   cannot, a block pre-pays [b_steps] and falls back to the reference
-   [step], so [Out_of_fuel] fires at the identical retirement count.
-   [step] also runs the rare entries at a pc that leads no block: a
-   [rett] into the middle of a straight line, or a branch whose delay
-   slots fusion leaves to the reference (a block stops just before
-   it). *)
+(* The traced loop, in two tiers.  At every dispatch point — the start
+   of a run, a trace exit, and the end of a straight-line run — a formed
+   trace at the pc is entered.  Anything else runs on the reference
+   [step].  From a leader, the loop first counts the leader's heat, then
+   steps until the pc leaves the straight line (a control transfer, or a
+   generic-arithmetic trap into its handler) and records the edge from
+   that leader to where the run went: the profile that trace formation
+   reads.  A run crosses intermediate leaders without dispatching, so a
+   leader is counted when control reaches it by a transfer.  A leader
+   crossing the threshold forms a trace, entered at once when formation
+   installs one.  A pc that leads nothing (a [rett] into the middle of a
+   straight line) is stepped one instruction at a time.  A trace
+   dispatches once per expected path, chaining through [tr_next] to the
+   trace at its exit (a loop trace chains to itself).  It pre-pays its
+   [tr_steps] fuel; when the fuel left cannot cover that, its head is
+   stepped instead, so [Out_of_fuel] fires at the identical retirement
+   count. *)
 let run_traced t ts =
-  let blocks = t.blocks in
   let n = Array.length t.code in
-  (* [Trace.attach] installs the blocks and the trace table together,
-     both sized to the code; the unchecked reads below rely on it. *)
-  assert (Array.length blocks = n && Array.length ts.ts_traces = n);
-  let traces = ts.ts_traces and heat = ts.ts_heat in
+  (* [Trace.attach] sizes the trace state to the code; the unchecked
+     reads below rely on it. *)
+  assert (Array.length ts.ts_traces = n && Array.length ts.ts_leader = n);
+  let traces = ts.ts_traces and leader = ts.ts_leader and heat = ts.ts_heat in
   let succ1 = ts.ts_succ1
   and cnt1 = ts.ts_cnt1
   and succ2 = ts.ts_succ2
@@ -600,12 +593,9 @@ let run_traced t ts =
     (* [pc] is in range: callers bounds-check before chaining here. *)
     match Array.unsafe_get traces pc with
     | Some tr -> enter_trace tr
-    | None -> (
-        match Array.unsafe_get blocks pc with
-        | Some b -> enter_block b
-        | None ->
-            t.pc <- pc;
-            step_one ())
+    | None ->
+        t.pc <- pc;
+        if Array.unsafe_get leader pc then enter_leader pc else step_one ()
   and enter_trace tr =
     if t.fuel >= tr.tr_steps then begin
       incr entries;
@@ -636,49 +626,39 @@ let run_traced t ts =
         | None -> errorf "trace stopped without an outcome"
     end
     else begin
-      (* Fuel tail: re-run the head at block granularity (which in turn
-         falls back to single instructions), for the identical
-         [Out_of_fuel] retirement count. *)
       t.pc <- tr.tr_pc;
-      match blocks.(tr.tr_pc) with
-      | Some b -> exec_block b
-      | None -> step_one ()
-    end
-  and enter_block b =
-    let bpc = b.b_pc in
-    let h = heat.(bpc) in
-    if h >= 0 then
-      if h + 1 >= threshold then begin
-        heat.(bpc) <- min_int;
-        ts.ts_form t bpc;
-        (* formation may have installed a trace at this leader *)
-        match traces.(bpc) with
-        | Some tr -> enter_trace tr
-        | None -> exec_block b
-      end
-      else begin
-        heat.(bpc) <- h + 1;
-        exec_block b
-      end
-    else exec_block b
-  and exec_block b =
-    if t.fuel >= b.b_steps then begin
-      t.fuel <- t.fuel - b.b_steps;
-      let pc = b.b_exec t in
-      if pc >= 0 then begin
-        record_edge b.b_pc pc;
-        if pc >= n then errorf "pc out of range: %d" pc;
-        goto pc
-      end
-      else
-        match t.outcome with
-        | Some o -> o
-        | None -> errorf "fused block stopped without an outcome"
-    end
-    else begin
-      t.pc <- b.b_pc;
       step_one ()
     end
+  and enter_leader l =
+    let h = heat.(l) in
+    if h >= 0 then
+      if h + 1 >= threshold then begin
+        heat.(l) <- min_int;
+        ts.ts_form t l;
+        (* formation may have installed a trace at this leader *)
+        match traces.(l) with
+        | Some tr -> enter_trace tr
+        | None -> line l l
+      end
+      else begin
+        heat.(l) <- h + 1;
+        line l l
+      end
+    else line l l
+  and line l pc =
+    (* [t.pc = pc]: step the straight line that leader [l] began. *)
+    if t.fuel <= 0 then raise Out_of_fuel;
+    t.fuel <- t.fuel - 1;
+    step t;
+    match t.outcome with
+    | Some o -> o
+    | None ->
+        let next = t.pc in
+        if next = pc + 1 then line l next
+        else begin
+          record_edge l next;
+          dispatch ()
+        end
   and step_one () =
     (* [t.pc] is current: every caller sets it first. *)
     if t.fuel <= 0 then raise Out_of_fuel;

@@ -9,14 +9,13 @@
     - [`Reference]: the original interpreter, re-decoding every retired
       instruction ({!step} in a loop) — the semantic oracle, and what
       {!run} does on a machine without trace-engine state;
-    - [`Traced]: once {!Trace.attach} has installed fused basic-block
-      closures ({!Fuse}) and the trace-engine state, {!run} dispatches
-      once per block under a block-entry/edge heat profile and promotes
-      hot paths to superblock traces — one straight-line closure
-      spanning several blocks with a single pre-summed statistics delta
-      and guarded side exits that roll back to exact per-block
-      accounting.  Fuel tails, entries at non-leaders and branches
-      whose delay slots cannot be fused fall back to {!step}.
+    - [`Traced]: once {!Trace.attach} has installed the trace-engine
+      state, {!run} has two tiers.  Cold code runs on {!step}, under a
+      per-leader entry-heat and edge profile; hot paths are promoted to
+      superblock traces — one straight-line closure per expected path,
+      with a single pre-summed statistics delta and guarded side exits
+      that roll back to exact accounting.  A trace whose pre-paid fuel
+      does not fit the fuel left falls back to {!step}.
     Both engines must produce bit-identical {!Stats.t} (enforced by the
     differential engine suite and the fuzzer). *)
 
@@ -73,7 +72,7 @@ type t = {
   mutable pc : int;
   mutable pending_load : int; (* register with an in-flight load, or -1 *)
   mutable jump_target : int;
-      (* scratch for fused register-indirect jumps: the target is read
+      (* scratch for traced register-indirect jumps: the target is read
          before the delay slots run (they may clobber the register) and
          consumed by the slot chain's final pc update *)
   mutable trap_dest : int; (* destination register of a trapped insn *)
@@ -83,35 +82,23 @@ type t = {
   mutable outcome : outcome option;
   mutable fuel : int;
   mutable in_slot : bool; (* executing a delay-slot instruction *)
-  mutable blocks : block option array; (* installed by Fuse.attach *)
   mutable tstate : tstate option;
       (* installed by Trace.attach; [None] runs the reference loop *)
 }
 
-(** A fused basic block (built by {!Fuse.attach}): [b_exec] retires the
-    whole straight-line run — including the terminator's delay slots —
-    in one call and returns the successor pc (negative once the outcome
-    is decided), and [b_steps] top-level retirements of fuel are
-    pre-paid by the run loop (slots ride their branch's retirement).
-    Blocks are immutable, so block arrays are shareable across
-    domains. *)
-and block = {
-  b_pc : int; (* leader address of this block *)
-  b_steps : int;
-  b_exec : t -> int;
-}
-
-(** Trace-engine state (built by {!Trace.attach}): per-leader entry
-    heat, a two-entry successor profile with decay, and the formed
-    traces.  [ts_heat] saturates to [min_int] when a leader crosses
-    [ts_threshold] and [ts_form] runs (installing a trace or, when more
-    profile is needed, resetting the counter to retry).  Shareable
+(** Trace-engine state (built by {!Trace.attach}): the basic-block
+    leader bitmap, per-leader entry heat, a two-entry successor profile
+    with decay, and the formed traces.  [ts_heat] saturates to
+    [min_int] when a leader crosses [ts_threshold] and [ts_form] runs
+    (installing a trace or, when more profile is needed, resetting the
+    counter to retry).  Shareable
     between machines running the same image; racy profile updates only
     delay or repeat formation, never corrupt execution.  [ts_plans]
     mirrors [ts_traces] as pure data (one {!Plan.trace} per formed
     trace, newest first).  [ts_dirty] is never set: it stays only for
     tagbench/, which still reads it. *)
 and tstate = {
+  ts_leader : bool array;
   ts_traces : trace option array;
   ts_heat : int array;
   ts_succ1 : int array;
@@ -125,17 +112,16 @@ and tstate = {
 }
 
 (** A compiled superblock trace (built by {!Trace}): [tr_exec] retires
-    the whole expected path — [tr_blocks] fused blocks, [tr_steps]
-    pre-paid top-level retirements — in one call and returns the next
-    pc: [tr_exit] when the expected path completed, another pc after a
-    guarded side exit (statistics and fuel already rolled back to the
-    exact per-block values), or a negative value once the outcome is
-    decided.  [tr_next] memoises the trace at [tr_exit] for direct
-    chaining (a loop trace chains to itself), validated against the
-    immutable [tr_pc], so a stale or torn read can only miss. *)
+    the whole expected path — [tr_steps] pre-paid top-level
+    retirements — in one call and returns the next pc: [tr_exit] when
+    the expected path completed, another pc after a guarded side exit
+    (statistics and fuel already rolled back to the exact values of
+    what ran), or a negative value once the outcome is decided.
+    [tr_next] memoises the trace at [tr_exit] for direct chaining (a
+    loop trace chains to itself), validated against the immutable
+    [tr_pc], so a stale or torn read can only miss. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
-  tr_blocks : int;
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
@@ -180,7 +166,7 @@ val poke : t -> int -> int -> unit
 
 (** {1 Shared instruction semantics}
 
-    Used by both the reference interpreter and the block compiler, so
+    Used by both the reference interpreter and the trace compiler, so
     the two engines cannot drift. *)
 
 val read_word : t -> int -> int
@@ -192,9 +178,9 @@ val abort : t -> int -> unit
 val errorf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Execute one instruction (including its delay slots), by re-decoding
-    it: this is the reference engine's step, and the traced engine's
-    fallback for fuel tails, non-leader entries and branches with
-    unfusible delay slots. *)
+    it.  This is the reference engine's step, and the traced engine's
+    cold tier: everything outside a trace runs on it, so it allocates
+    no closures and no address options. *)
 val step : t -> unit
 
 exception Out_of_fuel

@@ -1,6 +1,6 @@
 (** Superblock trace plans: the pure-data projection of a formed trace.
     Plans contain no closures and no statistics — instruction entries,
-    fused delay slots, block lengths and squash flags are functions of
+    compiled delay slots, block lengths and squash flags are functions of
     the image — so a plan is exactly the set of formation decisions:
     which leaders, which junction directions, where the trace exits. *)
 

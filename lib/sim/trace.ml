@@ -1,22 +1,24 @@
-(** The profile-guided superblock trace engine (tier 2 of [`Traced]).
+(** The profile-guided superblock trace engine: the hot tier of
+    [`Traced].
 
-    Tier 1 is the fused block dispatch with a per-leader entry-heat
-    counter and a two-entry successor (edge) profile.  When a leader
-    crosses the hot threshold, {!form} grows a superblock along the
-    dominant successor path: a bounded run of fused-block shapes, each
-    ending in a guardable junction — a conditional branch, a direct
-    jump, or a register-indirect jump, all with fusible delay slots —
-    and closed by a loop back-edge, an unguardable block, a cold or
-    bimodal edge, or the length bound; a back-edge into the head closes
-    the trace with the head as its exit, so a loop trace chains to
-    itself.  The expected path is compiled exactly like a fused block,
-    only longer, and by the same instruction and branch-condition
-    compilers ({!Fuse.compile_op}, {!Fuse.cond_test}): one
-    instruction-level continuation chain whose statically-knowable
-    statistics — including the cross-junction delay-slot interlocks that
-    tier-1 fused blocks must probe dynamically, and the annul accounting
-    of squashing branches the path falls through — are pre-summed into a
-    single delta applied once on trace entry.
+    Cold code runs on the reference [Machine.step], with a per-leader
+    entry-heat counter and a two-entry successor (edge) profile kept by
+    the run loop.  When a leader crosses the hot threshold, {!form}
+    grows a superblock along the dominant successor path: a bounded
+    run of basic-block shapes ({!Fuse.shape}), each ending in a
+    guardable junction — a conditional branch, a direct jump, or a
+    register-indirect jump, all with compilable delay slots — and
+    closed by a loop back-edge, an unguardable block, a cold or bimodal
+    edge, or the length bound; a back-edge into the head closes the
+    trace with the head as its exit, so a loop trace chains to itself.
+    A single segment is a trace too, so a hot one-block loop leaves the
+    interpreter.  The expected path is compiled by the engine's one
+    instruction and branch-condition compilers ({!Fuse.compile_op},
+    {!Fuse.cond_test}) into one instruction-level continuation chain
+    whose statically-knowable statistics — including the cross-junction
+    delay-slot interlocks and the annul accounting of squashing
+    branches the path falls through — are pre-summed into a single
+    delta applied once on trace entry.
 
     Exactness comes from the guards.  Each junction that can leave the
     expected path compiles a side exit that (a) subtracts the pre-summed
@@ -27,28 +29,27 @@
     cycles of slots the path expected to run, latch the in-flight load
     register), and (d) hands the off-path pc back to the dispatch loop.
     Dynamic early exits inside the path (division by zero, checked-load
-    type traps, resumable generic-arithmetic traps) are
+    type traps, resumable generic-arithmetic traps, memory faults) are
     {!Fuse.compile_op}'s own, with trace-wide undo deltas and fuel
     refunds.  The result is bit-identical {!Stats.t}, abort codes and
     fuel trajectory — [Out_of_fuel] tail included, because a trace
-    pre-pays its retirements like a block does and falls back to block
-    granularity when fuel runs short (enforced by the engine
-    differential suite). *)
+    pre-pays its retirements and the run loop steps its head instead
+    when fuel runs short (enforced by the engine differential suite). *)
 
 module M = Machine
 module Insn = Tagsim_mipsx.Insn
 module Reg = Tagsim_mipsx.Reg
 module Image = Tagsim_asm.Image
 
-(* Block entries before a leader is considered hot. *)
+(* Entries before a leader is considered hot. *)
 let default_threshold = 32
 
 (* Superblock length bound, in blocks. *)
 let max_segments = 64
 
-(* A trace must span at least two blocks: a single-segment trace is the
-   fused block it came from, with an extra guard. *)
-let min_segments = 2
+(* A trace may be a single segment: the cold tier is the interpreter,
+   so even a one-block loop gains from being compiled. *)
+let min_segments = 1
 
 (* How a trace segment ends, and which successor the path expects:
    a conditional branch guarded on its condition; J/Jal with a static
@@ -65,7 +66,7 @@ type seg = {
   sg_stop : int; (* terminator address *)
   sg_len : int; (* body length (sg_stop - sg_pc) *)
   sg_term : Image.entry;
-  sg_s1 : Image.entry; (* fused delay slots *)
+  sg_s1 : Image.entry; (* compiled delay slots *)
   sg_s2 : Image.entry;
   sg_squash : bool;
   sg_jct : jct;
@@ -139,7 +140,7 @@ let segment_of (m : M.t) (ts : M.tstate) ~ret pc : candidate =
           if target = fall then
             (* Degenerate branch-to-fall-through: with slots running
                either way there is nothing to guard; an annulling one
-               still differs in accounting, so leave it to tier 1. *)
+               still differs in accounting, so leave it to [step]. *)
             if sh.Fuse.sh_squash then Unfit
             else mk (Jump { link = false }) target
           else
@@ -175,7 +176,7 @@ let segment_of (m : M.t) (ts : M.tstate) ~ret pc : candidate =
    trace. *)
 let grow (m : M.t) (ts : M.tstate) head =
   let n = Array.length m.M.code in
-  let blocks = m.M.blocks in
+  let leader = ts.M.ts_leader in
   (* [stack]: return addresses of calls crossed on the path and not yet
      returned from — the call-return hint for [Jr ra] junctions. *)
   let rec go acc count pc reach stack =
@@ -187,7 +188,7 @@ let grow (m : M.t) (ts : M.tstate) head =
     if List.exists (fun s -> s.sg_pc = pc) acc then close false
     else if count = max_segments then close false
     else if reach < reach_cutoff then close false
-    else if pc < 0 || pc >= n || blocks.(pc) = None then close false
+    else if pc < 0 || pc >= n || not leader.(pc) then close false
     else
       let ret = match stack with r :: _ -> Some r | [] -> None in
       match segment_of m ts ~ret pc with
@@ -232,8 +233,8 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   in
   (* The cross-junction in-flight load reaching segment [i]'s first
      instruction — statically the previous junction's second delay slot
-     (annulled slots leave none).  The trace entry keeps a fused
-     block's one dynamic probe instead. *)
+     (annulled slots leave none).  The trace entry keeps one dynamic
+     probe instead. *)
   let cross_prev i =
     if i = 0 then None
     else if slots_run (i - 1) then Some segs.(i - 1).sg_s2
@@ -411,9 +412,8 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   let head = segs.(0).sg_pc in
   let entry_apply = Fuse.apply_fn (Fuse.compress acc) in
   let body0 = !chain in
-  (* The one dynamic interlock probe, as on fused block entry: the
-     trace's first instruction against a load in flight from whatever
-     ran before it. *)
+  (* The one dynamic interlock probe: the trace's first instruction
+     against a load in flight from whatever ran before it. *)
   let er1, er2 = Fuse.read_regs code.(head).Image.insn in
   let exec =
     if er1 < 0 && er2 < 0 then fun (t : M.t) ->
@@ -427,7 +427,6 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
   in
   {
     M.tr_pc = head;
-    M.tr_blocks = k;
     M.tr_steps = !total_steps;
     M.tr_exit = exit_pc;
     M.tr_exec = exec;
@@ -486,7 +485,6 @@ let form (t : M.t) head =
 (* --- Attachment. --- *)
 
 let attach ?(threshold = default_threshold) (m : M.t) =
-  Fuse.attach m;
   let n = Array.length m.M.code in
   match m.M.tstate with
   | Some ts when Array.length ts.M.ts_traces = n -> ()
@@ -494,6 +492,7 @@ let attach ?(threshold = default_threshold) (m : M.t) =
       m.M.tstate <-
         Some
           {
+            M.ts_leader = Fuse.leaders m;
             M.ts_traces = Array.make n None;
             M.ts_heat = Array.make n 0;
             M.ts_succ1 = Array.make n (-1);

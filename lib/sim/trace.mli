@@ -1,15 +1,16 @@
-(** The profile-guided superblock trace engine: tier 1 executes fused
-    blocks while counting block-entry and edge heat; a leader crossing
-    the hot threshold grows a superblock along the expected successor
-    path — probability-guided (growth stops when the product of
-    junction shares drops below a reach cutoff), return addresses
-    matched to calls crossed on the path, a loop body closed at its
-    back-edge and chained to itself — and compiles it, with tier 1's own
-    instruction compiler {!Fuse.compile_op}, to one straight-line
-    continuation chain with a single pre-summed statistics delta —
-    cross-junction delay-slot interlocks and squashing-branch annul
-    accounting statically resolved — and guarded side exits that roll
-    statistics and fuel back to the exact per-block values.
+(** The profile-guided superblock trace engine, the hot tier of
+    [`Traced]: cold code runs on the reference [Machine.step] while the
+    run loop counts leader-entry and edge heat; a leader crossing the
+    hot threshold grows a superblock (one segment or more) along the
+    expected successor path — probability-guided (growth stops when the
+    product of junction shares drops below a reach cutoff), return
+    addresses matched to calls crossed on the path, a loop body closed
+    at its back-edge and chained to itself — and compiles it, with the
+    engine's one instruction compiler {!Fuse.compile_op}, to one
+    straight-line continuation chain with a single pre-summed
+    statistics delta — cross-junction delay-slot interlocks and
+    squashing-branch annul accounting statically resolved — and guarded
+    side exits that roll statistics and fuel back to the exact values.
     [Machine.run] on an attached machine dispatches once per trace on
     hot paths and stays bit-identical to the reference interpreter,
     [Out_of_fuel] tail included (enforced by the engine differential
@@ -19,17 +20,17 @@
 
 module Image := Tagsim_asm.Image
 
-(** Block entries before a leader is considered hot (default 32).
+(** Entries before a leader is considered hot (default 32).
     Tests pass a small threshold to force early formation. *)
 val default_threshold : int
 
 (** Superblock length bound, in blocks. *)
 val max_segments : int
 
-(** Install the fused blocks (via {!Fuse.attach}) and the trace-engine
-    state — heat and edge-profile counters and the (initially empty)
-    trace table — on the machine; idempotent and length-guarded like
-    {!Fuse.attach}.  From then on [Machine.run] runs the traced engine
+(** Install the trace-engine state — the leader bitmap
+    ({!Fuse.leaders}), heat and edge-profile counters and the (initially
+    empty) trace table — on the machine; idempotent, guarded by the code
+    length.  From then on [Machine.run] runs the traced engine
     instead of the reference loop.  The state may be shared between
     machines running the same image: a memoised trace is validated
     before it runs, and racy profile updates only delay or repeat

@@ -1,25 +1,26 @@
-(* Differential engine testing.  The traced engine (Tagsim.Trace over
-   the fused blocks of Tagsim.Fuse) must be observationally identical to
-   the reference interpreter, both with its traces and on tier-1 fused
-   blocks alone (a promotion threshold out of reach): every registry
-   benchmark is compiled once per (scheme x named support)
-   configuration and simulated on all three legs, and the result value,
-   abort status, GC counters and every Stats counter must match exactly.
-   Targeted raw images then exercise the dynamic-exit paths, where the
-   pre-summed block and trace statistics must be unwound:
+(* Differential engine testing.  The traced engine (Tagsim.Trace: cold
+   code on the reference [step], hot paths in superblock traces compiled
+   through Tagsim.Fuse) must be observationally identical to the
+   reference interpreter, both at its default promotion threshold and at
+   a threshold of 2, where nearly every path that repeats runs traced:
+   every registry benchmark is compiled once per (scheme x named
+   support) configuration and simulated on all three legs, and the
+   result value, abort status, GC counters and every Stats counter must
+   match exactly.  Targeted raw images then exercise the dynamic-exit
+   paths, where the pre-summed trace statistics must be unwound:
    generic-arithmetic traps with a [rett] resume, squashing branches,
-   fuel exhaustion inside a block or a trace (finished by the reference
-   [step]), checked-load type traps and division by zero mid-block,
-   load-use interlocks resolved statically or probed at a block
-   boundary, hot-loop trace promotion, and every superblock side exit
-   (branch misprediction, squash annulment both ways, indirect-jump
-   guard failure, traps and fuel exhaustion mid-trace).  Patched images
-   put what the assembler never emits into delay slots — a generic add
-   in a hot loop's slot, a label on such a branch, a control
-   instruction, a generic-arithmetic trap, slots past the end of
-   code — which the traced engine leaves to the reference [step], with
-   identical machine errors.  The parallel measurement pool must
-   likewise be oblivious to the worker count. *)
+   fuel exhaustion (finished by the reference [step]), checked-load type
+   traps, division by zero, memory faults raised mid-trace, load-use
+   interlocks resolved statically or probed at trace entry, hot-loop
+   trace promotion (a one-block loop included), and every superblock
+   side exit (branch misprediction, squash annulment both ways,
+   indirect-jump guard failure, traps and fuel exhaustion mid-trace).
+   Patched images put what the assembler never emits into delay
+   slots — a generic add in a hot loop's slot, a label on such a branch,
+   a control instruction, a generic-arithmetic trap, slots past the end
+   of code — which no trace grows through and the reference [step]
+   runs, with identical machine errors.  The parallel measurement pool
+   must likewise be oblivious to the worker count. *)
 
 module P = Tagsim.Program
 module Stats = Tagsim.Stats
@@ -59,13 +60,13 @@ let check_result name (a : P.result) (b : P.result) =
   Alcotest.(check int)
     (name ^ ": gc bytes copied") a.P.gc_bytes_copied b.P.gc_bytes_copied
 
-(* [P.run] on tier-1 fused blocks only: the traced engine with a
-   promotion threshold no block reaches, so no trace ever forms.  It
-   reuses the program's block array when a traced run has built one. *)
-let run_tier1 (program : P.t) : P.result =
+(* [P.run] on the traced engine at promotion threshold 2, with trace
+   state of its own (the program's shared state belongs to the
+   default-threshold leg), so traces form on the second entry of a
+   leader. *)
+let run_hot (program : P.t) : P.result =
   let m, map = P.load ~engine:`Reference program in
-  m.Machine.blocks <- program.P.blocks_cache;
-  Trace.attach ~threshold:max_int m;
+  Trace.attach ~threshold:2 m;
   let value, abort =
     match Machine.run m with
     | Machine.Halted w -> (Some (P.decode program m w), None)
@@ -98,17 +99,16 @@ let test_engines_agree (entry : B.entry) () =
           in
           let reference = P.run ~engine:`Reference program in
           let traced = P.run ~engine:`Traced program in
-          let tier1 = run_tier1 program in
+          let hot = run_hot program in
           let nm leg = entry.B.name ^ " " ^ cname ^ " " ^ leg in
-          check_result (nm "tier1") reference tier1;
+          check_result (nm "hot") reference hot;
           check_result (nm "tra") reference traced;
           Alcotest.(check (option string))
             (nm "" ^ ": no abort") None reference.P.abort)
         Support.all_named)
     Scheme.all
 
-(* --- Targeted raw images: the dynamic exits of the fused and traced
-   engines. --- *)
+(* --- Targeted raw images: the dynamic exits of the traced engine. --- *)
 
 let scheme = Scheme.high5
 let hw = Scheme.machine_hw ~mem_bytes:(1 lsl 20) scheme
@@ -120,7 +120,7 @@ let assemble ?(sched = Sched.off) build =
   build b;
   Image.assemble ~sched b
 
-let run_raw ?fuel ?threshold ?(setup = fun _ -> ()) image engine =
+let run_raw ?fuel ?threshold ?(hw = hw) ?(setup = fun _ -> ()) image engine =
   let m = Machine.create ?fuel ~hw image in
   (match engine with
   | `Reference -> ()
@@ -140,19 +140,19 @@ let outcome_str = function
   | `Done (Machine.Halted v) -> Printf.sprintf "halted %d" v
   | `Done (Machine.Aborted c) -> Printf.sprintf "aborted %d" c
 
-(* Run three legs; reference is ground truth.  The tier-1 leg runs the
-   traced engine with its threshold out of reach (fused blocks only);
-   the traced leg uses [threshold], which tests lower so short unit
-   loops get hot. *)
-let check_three name ?fuel ?threshold ?setup image =
-  let ro, rs = run_raw ?fuel ?setup image `Reference in
-  let fo, fs = run_raw ?fuel ~threshold:max_int ?setup image `Traced in
-  let to_, ts = run_raw ?fuel ?threshold ?setup image `Traced in
+(* Run three legs; reference is ground truth.  The hot leg runs the
+   traced engine at threshold 2, so anything that repeats is traced; the
+   traced leg uses [threshold] (the default unless given), which tests
+   lower so short unit loops get hot. *)
+let check_three name ?fuel ?threshold ?hw ?setup image =
+  let ro, rs = run_raw ?fuel ?hw ?setup image `Reference in
+  let ho, hs = run_raw ?fuel ~threshold:2 ?hw ?setup image `Traced in
+  let to_, ts = run_raw ?fuel ?threshold ?hw ?setup image `Traced in
   Alcotest.(check string)
-    (name ^ ": tier-1 outcome") (outcome_str ro) (outcome_str fo);
+    (name ^ ": hot outcome") (outcome_str ro) (outcome_str ho);
   Alcotest.(check string)
     (name ^ ": traced outcome") (outcome_str ro) (outcome_str to_);
-  Alcotest.(check bool) (name ^ ": tier-1 stats") true (Stats.equal rs fs);
+  Alcotest.(check bool) (name ^ ": hot stats") true (Stats.equal rs hs);
   Alcotest.(check bool) (name ^ ": traced stats") true (Stats.equal rs ts);
   (ro, rs)
 
@@ -162,10 +162,10 @@ let expect_outcome name expected (outcome, _) =
 let add = Insn.Alui (Insn.Add, Reg.t2, Reg.t2, 1)
 
 (* A generic-arithmetic trap in the middle of a straight line, with a
-   [settd]-patching handler and a [rett] resume: the trapping block must
-   keep its executed prefix's statistics (including the trap's own issue
-   cycle), charge the trap overhead, and resume at [epc] — which the
-   fuser guarantees is a block leader. *)
+   [settd]-patching handler and a [rett] resume: the trap keeps its
+   executed prefix's statistics (including the trap's own issue cycle),
+   charges the trap overhead, and resumes at [epc] — which is always a
+   block leader. *)
 let test_garith_rett () =
   let int_item n = Scheme.encode_int scheme n in
   let pair_item = Scheme.encode_ptr scheme Scheme.Pair (256 * 8) in
@@ -228,10 +228,8 @@ let test_squash_branch () =
   Alcotest.(check int) "squash-branch: nine retirements" 9
     (Stats.executed_insns (snd r))
 
-(* Fuel exhaustion in the middle of what fusion makes a single block:
-   the traced engine must stop at the identical retirement count (it
-   falls back to the reference [step] when the remaining fuel does not
-   cover the block). *)
+(* Fuel exhaustion in the middle of a straight line: the traced engine
+   must stop at the identical retirement count. *)
 let test_fuel_exhaustion () =
   let image =
     assemble (fun b ->
@@ -249,10 +247,9 @@ let test_fuel_exhaustion () =
   expect_outcome "fuel-after-block" "halted 10"
     (check_three "fuel-after-block" ~fuel:12 image)
 
-(* A checked load whose address operand carries the wrong tag aborts the
-   block after its executed prefix; the pre-summed statistics of the
-   unexecuted suffix must be unwound (the load's own issue cycle
-   stands — the reference charges before it traps). *)
+(* A checked load whose address operand carries the wrong tag aborts
+   after its executed prefix (the load's own issue cycle stands — the
+   reference charges before it traps). *)
 let test_checked_load_trap () =
   let pair_tag = scheme.Scheme.tag Scheme.Pair in
   let image =
@@ -272,8 +269,8 @@ let test_checked_load_trap () =
   Alcotest.(check int) "checked-load-trap: four retirements" 4
     (Stats.executed_insns (snd r))
 
-(* Division by zero mid-block: the divide retires (it is counted) but
-   its cycles are never charged, and the block suffix is unwound. *)
+(* Division by zero mid-line: the divide retires (it is counted) but
+   its cycles are never charged. *)
 let test_div_zero () =
   let image =
     assemble (fun b ->
@@ -288,10 +285,8 @@ let test_div_zero () =
   Alcotest.(check int) "div-zero: three retirements" 3
     (Stats.executed_insns (snd r))
 
-(* Load-use interlocks: resolved statically between adjacent in-block
-   instructions, probed dynamically at a block boundary (here the load
-   sits in the second delay slot, so the interlock lands on the first
-   instruction of the jump's target block). *)
+(* Load-use interlocks between adjacent instructions, on a straight
+   line and across a block boundary. *)
 let test_interlocks () =
   let in_block =
     assemble (fun b ->
@@ -308,8 +303,8 @@ let test_interlocks () =
     (snd r).Stats.interlocks;
   (* A code label is a block leader, so it splits the straight line
      between the load and its use: the interlock crosses the block
-     boundary and must be caught by the fused blocks' dynamic
-     block-entry probe. *)
+     boundary, where [step] probes it, or the dynamic probe at a trace
+     entry when a trace heads the label. *)
   let across_blocks =
     assemble (fun b ->
         Buf.emit b (Insn.Li (Reg.t0, 256));
@@ -325,9 +320,9 @@ let test_interlocks () =
   Alcotest.(check int) "interlock-across-blocks: one interlock" 1
     (snd r).Stats.interlocks
 
-(* Attaching the traced engine twice must not recompile: the block and
-   trace-table arrays stay physically the same (a structural [= [||]]
-   staleness test would recompile empty-code machines forever). *)
+(* Attaching the traced engine twice must not rebuild: the trace table
+   stays physically the same (a structural [= [||]] staleness test would
+   rebuild empty-code machines forever). *)
 let test_attach_idempotent () =
   let image = assemble (fun b -> Buf.emit b Insn.Halt) in
   let m = Machine.create ~hw image in
@@ -337,10 +332,8 @@ let test_attach_idempotent () =
     | Some ts -> ts.Machine.ts_traces
     | None -> Alcotest.fail "attach installed no trace state"
   in
-  let blocks = m.Machine.blocks and table = traces m in
+  let table = traces m in
   Trace.attach m;
-  Fuse.attach m;
-  Alcotest.(check bool) "block array reused" true (blocks == m.Machine.blocks);
   Alcotest.(check bool) "trace table reused" true (table == traces m)
 
 (* --- Superblock traces: promotion, side exits, exactness. --- *)
@@ -348,9 +341,9 @@ let test_attach_idempotent () =
 let branch ?(squash = false) cond rs rt target =
   Insn.B ({ Insn.cond; rs; rt; squash; hint = Insn.No_hint }, target)
 
-(* A two-block counted loop (traces need at least two segments, so the
-   body is split by a jump): [t2] counts iterations, the back branch
-   falls through after [n] of them. *)
+(* A two-block counted loop (the body is split by a jump, so its trace
+   crosses a junction): [t2] counts iterations, the back branch falls
+   through after [n] of them. *)
 let counted_loop ?squash n =
   assemble (fun b ->
       Buf.emit b (Insn.Li (Reg.t0, 0));
@@ -374,8 +367,8 @@ let trace_count (m : Machine.t) =
         0 ts.Machine.ts_traces
 
 (* Hot-threshold promotion: a loop executing under the threshold stays
-   in tier 1 (no trace), over it gets a superblock — and either way the
-   statistics match the reference exactly. *)
+   on the interpreter (no trace), over it gets a superblock — and either
+   way the statistics match the reference exactly. *)
 let test_trace_promotion () =
   let image = counted_loop 50 in
   let run_and_count threshold =
@@ -586,8 +579,8 @@ let test_trace_cross_interlock () =
     ((snd r).Stats.interlocks >= n - 2)
 
 (* Fuel exhaustion while the loop is running traced: the traced engine
-   pre-pays a whole trace, so it must fall back to blocks (and then to
-   the reference [step]) and stop at the identical retirement count. *)
+   pre-pays a whole trace, so it must fall back to the reference [step]
+   and stop at the identical retirement count. *)
 let test_trace_fuel () =
   let r = check_three "trace-fuel" ~threshold:4 ~fuel:97 (counted_loop 50) in
   expect_outcome "trace-fuel" "out-of-fuel" r;
@@ -596,8 +589,50 @@ let test_trace_fuel () =
     (Stats.executed_insns rs)
     (Stats.executed_insns (snd r))
 
+(* A machine error raised inside a trace: a hot two-block loop advances
+   a pointer by [1 lsl 14] a turn until its access leaves memory.  The
+   error must leave the statistics of exactly the instructions that
+   retired, the faulting access included, as the reference does.  A
+   plain-mode access raises "unmasked address"; a tag-ignoring one whose
+   address mask is wider than memory faults in the memory access. *)
+let test_trace_mem_fault () =
+  let faulting access =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t4, 0));
+        Buf.emit b (Insn.Li (Reg.t6, -1));
+        Buf.label b "loop";
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (Insn.J "mid");
+        Buf.label b "mid";
+        Buf.emit b access;
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t4, Reg.t4, 1 lsl 14));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t6 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t0));
+        Buf.emit b Insn.Halt)
+  in
+  let expect_error name ?hw access prefix =
+    let r = check_three name ~threshold:2 ?hw (faulting access) in
+    match fst r with
+    | `Error msg when String.starts_with ~prefix msg -> ()
+    | o -> Alcotest.failf "%s: %s, expected %s..." name (outcome_str o) prefix
+  in
+  expect_error "fault-plain-load"
+    (Insn.Ld (Insn.Plain, Reg.t3, Reg.t4, 0))
+    "unmasked address";
+  expect_error "fault-plain-store"
+    (Insn.St (Insn.Plain, Reg.t4, Reg.t0, 0))
+    "unmasked address";
+  let wide = { hw with Machine.addr_mask = 0x7fffffff } in
+  expect_error "fault-load" ~hw:wide
+    (Insn.Ld (Insn.Tag_ignoring, Reg.t3, Reg.t4, 0))
+    "load fault";
+  expect_error "fault-store" ~hw:wide
+    (Insn.St (Insn.Tag_ignoring, Reg.t4, Reg.t0, 0))
+    "store fault"
+
 (* Attaching the traced engine twice must keep the same profile and
-   trace state (the length guard recompiles only when the code
+   trace state (the length guard rebuilds only when the code
    changes). *)
 let test_trace_attach_idempotent () =
   let m = Machine.create ~hw (counted_loop 10) in
@@ -611,13 +646,12 @@ let test_trace_attach_idempotent () =
   (match m.Machine.tstate with
   | Some ts1 ->
       Alcotest.(check bool) "trace state reused" true (ts0 == ts1)
-  | None -> Alcotest.fail "re-attach dropped the trace state");
-  Alcotest.(check bool) "fused blocks attached too" true
-    (Array.length m.Machine.blocks > 0)
+  | None -> Alcotest.fail "re-attach dropped the trace state")
 
-(* --- Unfusible delay slots: raw slot contents the assembler never
-   emits.  Fusion stops a block before such a branch, and the traced run
-   loop steps the branch with its slots on the reference [step]. --- *)
+(* --- Uncompilable delay slots: raw slot contents the assembler never
+   emits.  A block's shape stops before such a branch, so no trace grows
+   through it, and the traced run loop steps the branch with its slots
+   on the reference [step]. --- *)
 
 (* [image] with the instructions at the given code addresses replaced. *)
 let patch image edits =
@@ -644,7 +678,7 @@ let gen_inc = Insn.Add_gen (Reg.t5, Reg.t5, Reg.t4)
    first slot and a load in its second, read by the loop's first
    instruction (an interlock across the slots into the next block); the
    load of the bound just before the branch interlocks on the branch
-   itself, across the block's early end. *)
+   itself. *)
 let test_slot_gen_loop () =
   let n = 21 in
   let image =
@@ -674,8 +708,9 @@ let test_slot_gen_loop () =
   Alcotest.(check int) "slot-gen-loop: two interlocks an iteration"
     ((2 * n) - 1) (snd r).Stats.interlocks
 
-(* A label directly on such a branch: a leader with no block of its
-   own, so every iteration enters the reference [step] at the branch. *)
+(* A label directly on such a branch: a leader whose shape has no
+   terminator, so no trace forms there and every iteration steps the
+   branch. *)
 let test_slot_gen_leader () =
   let n = 17 in
   let image =
@@ -747,6 +782,36 @@ let test_slots_past_end () =
       Printf.sprintf "pc out of range: %d" (bpc + 1));
   check_slot_error "slot-past-end" ~cut:1 (fun bpc ->
       Printf.sprintf "pc out of range: %d" (bpc + 2))
+
+(* A hot one-block loop — a label on a branch back to itself, the
+   increment in its delay slot — is a trace of one segment, headed by
+   the branch, and matches the reference. *)
+let test_one_block_loop () =
+  let n = 40 in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t1, n));
+        Buf.label b "loop";
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t0));
+        Buf.emit b Insn.Halt)
+  in
+  let bpc = branch_pc image in
+  let image =
+    patch image [ (bpc + 1, Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1)) ]
+  in
+  let m = Machine.create ~hw image in
+  Trace.attach ~threshold:2 m;
+  ignore (Machine.run m);
+  (match m.Machine.tstate with
+  | Some ts ->
+      Alcotest.(check bool) "one-block loop: trace at its head" true
+        (Option.is_some ts.Machine.ts_traces.(bpc))
+  | None -> Alcotest.fail "attach installed no trace state");
+  expect_outcome "one-block-loop"
+    (Printf.sprintf "halted %d" (n + 1))
+    (check_three "one-block-loop" ~threshold:2 image)
 
 (* Trace formation is a function of the image alone: two fresh compiles
    of one program, each run traced once, form the same traces in the
@@ -987,6 +1052,7 @@ let suite =
           Alcotest.test_case "trace-cross-interlock" `Quick
             test_trace_cross_interlock;
           Alcotest.test_case "trace-fuel" `Quick test_trace_fuel;
+          Alcotest.test_case "trace-mem-fault" `Quick test_trace_mem_fault;
           Alcotest.test_case "trace-attach-idempotent" `Quick
             test_trace_attach_idempotent;
           Alcotest.test_case "slot-gen-loop" `Quick test_slot_gen_loop;
@@ -994,6 +1060,7 @@ let suite =
           Alcotest.test_case "slot-control" `Quick test_slot_control;
           Alcotest.test_case "slot-gen-trap" `Quick test_slot_gen_trap;
           Alcotest.test_case "slots-past-end" `Quick test_slots_past_end;
+          Alcotest.test_case "one-block-loop" `Quick test_one_block_loop;
           Alcotest.test_case "formation-determinism" `Quick
             test_formation_determinism;
           Alcotest.test_case "compress-round-trip" `Quick
