@@ -276,21 +276,15 @@ let cache_benchmark () =
     Hashtbl.length seen
   in
   let runs = 3 in
-  (* Both legs also drop the incremental backend's object memo: the
-     cold leg must pay full compiles, and the warm leg's point is that
-     the measurement store alone — not memoised objects — reproduces
-     the plan. *)
   let cold_leg () =
     Cache.wipe ();
     Run.clear_cache ();
     Run.reset_frontends ();
-    Tagsim.Objcache.clear_memo ();
     time_plan ()
   in
   let warm_leg () =
     Run.clear_cache ();
     Run.reset_frontends ();
-    Tagsim.Objcache.clear_memo ();
     time_plan ()
   in
   let cold = best_of runs cold_leg in
@@ -325,14 +319,9 @@ let cache_benchmark () =
    Pure compilation (no simulation) of the full Table 2 matrix — the
    low-tag software cell plus every named high5 support row, each with
    and without full checking, for all ten programs — under the
-   monolithic backend versus the incremental one in two states: cold
-   (object memo dropped) and warm memo (the steady state of a matrix
-   run, where every unit compiles once and every later cell links
-   memoised objects).  Front ends are shared, as in the real pipeline,
-   so the legs time the backend alone.  Best of three per leg; recorded
-   in BENCH_compile.json. *)
-
-module Objcache = Tagsim.Objcache
+   monolithic backend versus the incremental one.  Front ends are
+   shared, as in the real pipeline, so the legs time the backend alone.
+   Best of three per leg; recorded in BENCH_compile.json. *)
 
 let compile_matrix () =
   (* The Table 2 cells (see Analysis.Table2): low-tag software plus
@@ -372,35 +361,24 @@ let compile_benchmark () =
   let mono =
     best_of runs (fun () -> time_leg (fun () -> compile_all `Monolithic configs))
   in
-  let inc_cold =
-    best_of runs (fun () ->
-        Objcache.clear_memo ();
-        time_leg (fun () -> compile_all `Incremental configs))
-  in
-  Objcache.reset_counters ();
-  let inc_warm =
+  let inc =
     best_of runs (fun () -> time_leg (fun () -> compile_all `Incremental configs))
   in
-  let hits, misses, _ = Objcache.counters () in
-  (* One instrumented cold leg per optimization level: the backend's
+  (* One instrumented leg per optimization level: the backend's
      own phase accumulator breaks the wall clock into
      lower/opt/select/schedule/assemble/link, so the pipeline split's
      cost is visible (and the optimizer's own cost is isolated). *)
-  let instrumented_cold opt =
-    Objcache.clear_memo ();
+  let instrumented opt =
     Tagsim.Bphase.reset ();
     let total = time_leg (fun () -> compile_all ~opt `Incremental configs) in
     (total, Tagsim.Bphase.totals ())
   in
-  let cold_none, ph_none = instrumented_cold `None in
-  let cold_checks, ph_checks = instrumented_cold `Checks in
+  let t_none, ph_none = instrumented `None in
+  let t_checks, ph_checks = instrumented `Checks in
   Fmt.pr "@.Backend, full Table 2 compile matrix (%d configurations, best \
           of %d):@." n runs;
   Fmt.pr "  monolithic                %8.3f s@." mono;
-  Fmt.pr "  incremental, cold         %8.3f s   (memo dropped)@." inc_cold;
-  Fmt.pr "  incremental, warm memo    %8.3f s   (%.1fx vs monolithic; %d \
-          hits, %d misses)@."
-    inc_warm (mono /. inc_warm) hits misses;
+  Fmt.pr "  incremental               %8.3f s@." inc;
   let pp_phases what total (p : Tagsim.Bphase.totals) =
     Fmt.pr
       "  %-25s %8.3f s   (lower %.3f  opt %.3f  select %.3f  schedule %.3f  \
@@ -409,22 +387,17 @@ let compile_benchmark () =
       p.Tagsim.Bphase.select_s p.Tagsim.Bphase.schedule_s
       p.Tagsim.Bphase.assemble_s p.Tagsim.Bphase.link_s
   in
-  pp_phases "cold phases, opt none" cold_none ph_none;
-  pp_phases "cold phases, opt checks" cold_checks ph_checks;
+  pp_phases "phases, opt none" t_none ph_none;
+  pp_phases "phases, opt checks" t_checks ph_checks;
   let oc = open_out "BENCH_compile.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
   out "  \"benchmark\": \"backend wall-clock over the full Table 2 compile \
-       matrix, monolithic vs incremental (relocatable objects + linker + \
-       in-process object memo)\",\n";
+       matrix, monolithic vs incremental (relocatable objects + linker)\",\n";
   out "  \"configurations\": %d,\n" n;
   out "  \"runs_per_leg\": %d,\n" runs;
   out "  \"monolithic_seconds_best\": %.3f,\n" mono;
-  out "  \"incremental_cold_seconds_best\": %.3f,\n" inc_cold;
-  out "  \"incremental_warm_memo_seconds_best\": %.3f,\n" inc_warm;
-  out "  \"warm_memo_hits\": %d,\n" hits;
-  out "  \"warm_memo_misses\": %d,\n" misses;
-  out "  \"warm_speedup_vs_monolithic\": %.1f,\n" (mono /. inc_warm);
+  out "  \"incremental_seconds_best\": %.3f,\n" inc;
   let out_phases key total (p : Tagsim.Bphase.totals) term =
     out "  %S: {\n" key;
     out "    \"total_seconds\": %.3f,\n" total;
@@ -436,8 +409,8 @@ let compile_benchmark () =
     out "    \"link_seconds\": %.3f\n" p.Tagsim.Bphase.link_s;
     out "  }%s\n" term
   in
-  out_phases "cold_phases_opt_none" cold_none ph_none ",";
-  out_phases "cold_phases_opt_checks" cold_checks ph_checks "";
+  out_phases "phases_opt_none" t_none ph_none ",";
+  out_phases "phases_opt_checks" t_checks ph_checks "";
   out "}\n";
   close_out oc;
   Fmt.pr "Backend timings written to BENCH_compile.json@."

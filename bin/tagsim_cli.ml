@@ -368,7 +368,6 @@ let fuzz_cmd =
 let print_run_summary () =
   let module Cache = Tagsim.Analysis.Cache in
   let hits, misses, writes = Cache.counters () in
-  let ohits, omisses, owrites = Tagsim.Objcache.counters () in
   let compile_s, simulate_s, render_s =
     Tagsim.Analysis.Instrument.totals ()
   in
@@ -379,8 +378,6 @@ let print_run_summary () =
     Fmt.epr "cache: %d hits, %d misses, %d writes (dir %s)@." hits misses
       writes (Cache.dir ())
   else Fmt.epr "cache: disabled@.";
-  Fmt.epr "objects: %d hits, %d misses, %d writes (in-process)@." ohits
-    omisses owrites;
   Fmt.epr "simulations: %d@." (Tagsim.Analysis.Run.simulations ());
   Fmt.epr "phases: compile %.2fs  simulate %.2fs  render %.2fs@." compile_s
     simulate_s render_s;
@@ -401,10 +398,7 @@ let print_run_summary () =
     (float_of_int tt.Tagsim.Machine.tt_form_words /. 1e6)
     tt.Tagsim.Machine.tt_entries
     (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
-    (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
-  match Tagsim.Analysis.Run.dispatch_summary () with
-  | Some d -> Fmt.epr "dispatch: %s@." d
-  | None -> ()
+    (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired)
 
 let experiments_cmd =
   let module Spec = Tagsim.Analysis.Spec in

@@ -26,9 +26,9 @@
     alter a measurement without changing the key's other inputs: code
     generation, runtime assembly, scheme semantics, the cost model, or
     the {!Stats.t} layout.  It is the only stamp such a change bumps:
-    compiled objects are memoised in-process only (see
-    {!Tagsim_compiler.Objcache}), so no persisted object can outlive
-    the code generator that built it.
+    every compile builds its objects afresh and nothing but
+    measurements is persisted, so no object can outlive the code
+    generator that built it.
 
     {b Robustness.} Entries live in the [cache] namespace of
     {!Tagsim_store.Store}: every damaged, stale or misplaced entry is a

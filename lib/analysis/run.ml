@@ -69,40 +69,6 @@ let frontend_of (entry : Registry.entry) =
 let reset_frontends () =
   Mutex.protect frontend_mutex (fun () -> Hashtbl.reset frontends)
 
-(* Observed cycle totals per program, fed by every materialised
-   measurement (computed or loaded from the persistent store): the
-   longest-job-first dispatch estimate of {!run_many}.  The maximum
-   across configurations is kept — an LPT schedule only needs relative
-   magnitudes, and a program's cycle counts vary far less across the
-   scheme matrix than across programs. *)
-let known_cycles : (string, int) Hashtbl.t = Hashtbl.create 16
-let known_mutex = Mutex.create ()
-
-let note_cycles entry_name (stats : Stats.t) =
-  let c = Stats.total stats in
-  Mutex.protect known_mutex (fun () ->
-      match Hashtbl.find_opt known_cycles entry_name with
-      | Some c' when c' >= c -> ()
-      | _ -> Hashtbl.replace known_cycles entry_name c)
-
-(* [(weight, known)]: cached cycles when any configuration of the
-   program has been measured before (this process or a warm store),
-   source size as the cold fallback.  Sizes are orders of magnitude
-   below cycle counts, so unknown programs sort after known ones —
-   acceptable: on a fully cold matrix everything is size-ranked, and on
-   a mixed one the known jobs are the ones worth front-loading. *)
-let cost_estimate c =
-  let name = c.c_entry.Registry.name in
-  match
-    Mutex.protect known_mutex (fun () -> Hashtbl.find_opt known_cycles name)
-  with
-  | Some cy -> (cy, true)
-  | None -> (String.length c.c_entry.Registry.source, false)
-
-(* The last {!run_many} dispatch-ordering decision, for [--verbose]. *)
-let last_dispatch = ref None
-let dispatch_summary () = !last_dispatch
-
 (* Count of actual simulations performed (memo-cache misses), for tests
    that assert the planner simulates each distinct configuration exactly
    once.  Under concurrent workers a configuration may be simulated
@@ -169,7 +135,6 @@ let lookup_cached c =
             }
           in
           memo_add k m;
-          note_cycles c.c_entry.Registry.name m.stats;
           Some m)
 
 (* The computation is deliberately outside the cache lock: concurrent
@@ -222,7 +187,6 @@ let compute_config c =
       p_meta = m.meta;
     };
   memo_add (config_key c) m;
-  note_cycles c.c_entry.Registry.name m.stats;
   m
 
 let run_config c =
@@ -276,36 +240,14 @@ let run_many ?jobs (configs : config list) =
   in
   (* Longest-job-first dispatch: with workers pulling off a shared
      counter, the matrix's makespan is tail-bound by whatever is
-     scheduled last, so the missing configurations are ordered by
-     estimated cost — cycles observed for the program in any earlier
-     configuration, source size as the cold fallback — heaviest first.
-     [measured] comes back in the same (reordered) list order, so the
-     keyed collection below is unaffected. *)
+     scheduled last, so the missing configurations go heaviest first,
+     weighted by source size.  [measured] comes back in the same
+     (reordered) list order, so the keyed collection below is
+     unaffected. *)
   let missing =
-    match missing with
-    | [] | [ _ ] -> missing
-    | _ ->
-        let decorated = List.map (fun c -> (c, cost_estimate c)) missing in
-        let ordered =
-          Pool.longest_first ~weight:(fun (_, (w, _)) -> w) decorated
-        in
-        let by_cycles =
-          List.length (List.filter (fun (_, (_, known)) -> known) decorated)
-        in
-        let n = List.length decorated in
-        (match ordered with
-        | (head, (w, known)) :: _ ->
-            last_dispatch :=
-              Some
-                (Printf.sprintf
-                   "longest-first over %d configs (%d by cached cycles, %d by \
-                    source size); first %s/%s (%s %d)"
-                   n by_cycles (n - by_cycles) head.c_entry.Registry.name
-                   head.c_scheme.Scheme.name
-                   (if known then "cycles" else "bytes")
-                   w)
-        | [] -> ());
-        List.map fst ordered
+    Pool.longest_first
+      ~weight:(fun c -> String.length c.c_entry.Registry.source)
+      missing
   in
   let measured = Pool.map ?jobs compute_config missing in
   List.iter2

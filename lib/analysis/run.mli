@@ -93,12 +93,6 @@ val run_config : config -> measurement
     configurations reach the pool. *)
 val run_many : ?jobs:int -> config list -> measurement list
 
-(** The last {!run_many} dispatch-ordering decision (longest-job-first
-    over the missing configurations, weighted by previously observed
-    cycle counts with source size as the cold fallback), for
-    [--verbose]; [None] until a dispatch actually fanned out. *)
-val dispatch_summary : unit -> string option
-
 val all_entries : unit -> Registry.entry list
 
 (** {1 Aggregation helpers} *)

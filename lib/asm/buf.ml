@@ -59,6 +59,10 @@ let append dst src =
   dst.data <- src.data @ dst.data;
   dst.next_fresh <- max dst.next_fresh src.next_fresh
 
+let clear t =
+  t.items <- [];
+  t.data <- []
+
 let pp_item ppf = function
   | I { insn; annot; _ } ->
       Fmt.pf ppf "        %a" (Insn.pp Fmt.string) insn;

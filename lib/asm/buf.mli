@@ -52,5 +52,9 @@ val data_items : t -> (string option * datum) list
     link compiler output with the runtime). *)
 val append : t -> t -> unit
 
+(** Drop the buffer's code and data but keep its fresh-label counter,
+    so labels drawn after the clear never repeat one drawn before it. *)
+val clear : t -> unit
+
 val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit

@@ -134,10 +134,9 @@ let assemble ?(sched = Sched.default) (buf : Buf.t) : t =
 (* Byte-identity of two images: same resolved code entries, same initial
    data image, same layout bound, and the same addresses for every named
    (non-generated) symbol.  Generated labels — a ["$"]-suffix-digits fresh
-   label, possibly behind a link-time ["u<k>$"] prefix — may differ in
-   name between a monolithically assembled image and a linked one without
-   affecting a single resolved word, so they are excluded from the symbol
-   comparison. *)
+   label — may differ in name between a monolithically assembled image
+   and a linked one without affecting a single resolved word, so they
+   are excluded from the symbol comparison. *)
 let is_generated_label l =
   match String.rindex_opt l '$' with
   | None -> false

@@ -30,9 +30,9 @@ val assemble : ?sched:Sched.config -> Buf.t -> t
     laying out concatenated per-unit fragments. *)
 val of_items : Buf.item list -> (string option * Buf.datum) list -> t
 
-(** Is a label compiler- or linker-generated (a ["$"]-digits fresh
-    suffix, e.g. ["qp$3"] or a link-renamed ["u2$qp$3"]) rather than a
-    named export like ["f$main"] or ["symtab$count"]? *)
+(** Is a label compiler-generated (a ["$"]-digits fresh suffix, e.g.
+    ["qp$3"]) rather than a named export like ["f$main"] or
+    ["symtab$count"]? *)
 val is_generated_label : string -> bool
 
 (** Byte-identity: same resolved code, same initial data image and

@@ -33,19 +33,16 @@ type st = {
   mutable env : (string * Tir.loc) list;
   mutable next_slot : int; (* next frame slot byte offset *)
   mutable reg_locals : int; (* how many pool-top registers are in use *)
-  mutable next_fresh : int;
+  new_label : string -> string; (* the unit buffer's [Buf.fresh] *)
   mutable ops : Tir.op list; (* reversed *)
 }
 
 let emit st op = st.ops <- op :: st.ops
 
-(* Local labels use lowering-private prefixes (disjoint from every
-   prefix {!Select} and {!Tagsim_runtime.Emit} generate through
-   [Buf.fresh]), so a unit's label set stays collision-free. *)
-let fresh st p =
-  let n = st.next_fresh in
-  st.next_fresh <- n + 1;
-  p ^ "$" ^ string_of_int n
+(* Local labels come from the buffer {!Select} will emit the function
+   into, so they share one counter with every label {!Select},
+   {!Tagsim_runtime.Emit} and the scheduler draw there. *)
+let fresh st p = st.new_label p
 
 (* Expression temporaries grow from t0 upward; register-cached locals
    are allocated from the top of the same pool downward. *)
@@ -529,7 +526,7 @@ and eval_test ?(likely = false) st d (e : Ast.expr) ~ltrue ~lfalse ~next =
 
 (* --- Function lowering. --- *)
 
-let def symtab funcs (def : Ast.def) : Tir.fn =
+let def ~fresh symtab funcs (def : Ast.def) : Tir.fn =
   if List.length def.Ast.params > max_args then
     errorf "%s: more than %d parameters" def.Ast.name max_args;
   let nslots = List.length def.Ast.params + count_bindings def.Ast.body in
@@ -544,7 +541,7 @@ let def symtab funcs (def : Ast.def) : Tir.fn =
       env = [];
       next_slot = Tir.off_locals n_temp_pool;
       reg_locals = 0;
-      next_fresh = 0;
+      new_label = fresh;
       ops = [];
     }
   in

@@ -201,114 +201,69 @@ let backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained =
 
 (* The incremental backend: one relocatable object per unit — startup
    stub, each Lisp function, the runtime routine group — each emitted
-   into a private buffer and delay-slot-scheduled independently, then
-   linked.  Per-unit scheduling is exact, not approximate: every unit
-   starts with a label, and labels are scheduler barriers (both for
-   hoisting and for fall-through pulls), so concatenating
-   unit-scheduled streams yields the very stream whole-program
-   scheduling would produce; [Link.link] then resolves cross-unit
-   references.  Units come from the content-addressed {!Objcache}
-   whenever an identical unit (same content, symbol-table environment,
-   scheme, projected support, scheduler config, optimization level) was
-   compiled before in this process.  Memo hits skip compilation and
-   scheduling entirely; only the cheap link pass remains.
+   and delay-slot-scheduled on its own, then linked.  Per-unit
+   scheduling is exact, not approximate: every unit starts with a
+   label, and labels are scheduler barriers (both for hoisting and for
+   fall-through pulls), so concatenating unit-scheduled streams yields
+   the very stream whole-program scheduling would produce; [Link.link]
+   then resolves cross-unit references.  Every unit is emitted into the
+   same buffer, cleared after each is scheduled, so all fresh labels
+   come from one counter and are unique across the link.
 
    Function units run the staged pipeline — {!Lower} (AST -> TIR),
    optionally {!Checkelim}, then {!Select} — whose opt-off output is
    byte-identical to {!Codegen.compile_def} (the monolithic oracle
-   above; [test/suite_tir.ml] proves it differentially).  The startup
-   and runtime units contain no user code, so [opt] is projected to
-   [`None] in their keys and they share objects across optimization
-   levels.  Returns the image plus the total number of checks the
-   optimizer eliminated (preserved across cache hits via the objects'
-   [o_elided]). *)
+   above; [test/suite_tir.ml] proves it differentially).  Returns the
+   image plus the total number of checks the optimizer eliminated. *)
 let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
-  let build_unit emit =
-    let before = Symtab.count symtab in
-    let buf = Buf.create () in
-    let ctx = { Emit.b = buf; scheme; support } in
-    let elided = emit ctx in
+  let buf = Buf.create () in
+  let ctx = { Emit.b = buf; scheme; support } in
+  let fragment () =
     let frag =
       Bphase.time Bphase.Schedule (fun () -> Link.fragment_of_buf ~sched buf)
     in
-    {
-      Objcache.o_frag = frag;
-      o_interned = Symtab.names_from symtab before;
-      o_elided = elided;
-    }
+    Buf.clear buf;
+    frag
   in
-  (* The environment fingerprint is taken at the unit's start, and the
-     unit's intern effect is replayed after every lookup (idempotent
-     when the build just performed it), so the symbol table evolves
-     identically on hits and misses and later units key against the
-     same environment either way. *)
-  let cached ~kind ~fingerprint ~support_token ~opt emit =
-    let env = Objcache.env_fingerprint symtab funcs in
-    let k =
-      Objcache.key ~kind ~fingerprint ~env ~scheme ~support_token ~sched ~opt
-    in
-    let o = Objcache.find_or_build ~key:k ~build:(fun () -> build_unit emit) in
-    List.iter (fun s -> ignore (Symtab.intern symtab s)) o.Objcache.o_interned;
-    (k, o)
+  let codegen emit =
+    Bphase.time Bphase.Codegen emit;
+    fragment ()
   in
-  let full_token = Objcache.support_token support in
+  let elided = ref 0 in
   let startup =
-    cached ~kind:"startup" ~fingerprint:(L.fn_label "main")
-      ~support_token:full_token ~opt:`None (fun ctx ->
-        Bphase.time Bphase.Codegen (fun () ->
-            Rt.emit_startup ctx ~main_label:(L.fn_label "main"));
-        0)
+    codegen (fun () -> Rt.emit_startup ctx ~main_label:(L.fn_label "main"))
   in
-  let fn_frags =
+  let fns =
     List.map
       (fun (_, d) ->
-        cached ~kind:"fn" ~fingerprint:(Objcache.def_fingerprint d)
-          ~support_token:
-            (Objcache.support_token ~uses_arith:(Objcache.def_uses_arith d)
-               support)
-          ~opt
-          (fun ctx ->
-            let tf =
-              Bphase.time Bphase.Lower (fun () -> Lower.def symtab funcs d)
-            in
-            let tf, elided =
-              match opt with
-              | `None -> (tf, 0)
-              | `Checks -> Bphase.time Bphase.Opt (fun () -> Checkelim.run tf)
-            in
-            Bphase.time Bphase.Select (fun () -> Select.fn ctx symtab tf);
-            elided))
+        let tf =
+          Bphase.time Bphase.Lower (fun () ->
+              Lower.def ~fresh:(Buf.fresh buf) symtab funcs d)
+        in
+        let tf =
+          match opt with
+          | `None -> tf
+          | `Checks ->
+              let tf, n = Bphase.time Bphase.Opt (fun () -> Checkelim.run tf) in
+              elided := !elided + n;
+              tf
+        in
+        Bphase.time Bphase.Select (fun () -> Select.fn ctx symtab tf);
+        fragment ())
       retained
   in
-  let rt =
-    cached ~kind:"rt" ~fingerprint:"routines" ~support_token:full_token
-      ~opt:`None (fun ctx ->
-        Bphase.time Bphase.Codegen (fun () -> Rt.emit_routines ctx);
-        0)
-  in
-  let units = (startup :: fn_frags) @ [ rt ] in
-  let keys = List.map fst units in
-  let frags = List.map (fun (_, o) -> o.Objcache.o_frag) units in
-  let elided =
-    List.fold_left (fun n (_, o) -> n + o.Objcache.o_elided) 0 units
-  in
-  (* The whole linked image is memoised under the ordered unit-key
-     list: a configuration seen before (the steady state of a matrix
-     run) skips even the link.  On a miss, the symbol-table block —
-     pure data derived from the final table, trivially re-emitted, so
-     never cached itself — leads the layout (code starts with the
-     startup unit, since the block has no code): the table stays the
-     first static datum, at [L.symtab_base]. *)
+  let rt = codegen (fun () -> Rt.emit_routines ctx) in
+  (* The symbol-table block is emitted once every unit has interned its
+     symbols, and leads the layout (it has no code, so code still starts
+     with the startup unit): the table stays the first static datum, at
+     [L.symtab_base]. *)
+  Symtab.emit_data symtab scheme buf;
+  let symtab_frag = fragment () in
   let image =
-    Objcache.find_image ~keys ~build:(fun () ->
-        let symtab_frag =
-          let b = Buf.create () in
-          Symtab.emit_data symtab scheme b;
-          Link.fragment_of_buf ~sched b
-        in
-        Bphase.time Bphase.Link (fun () -> Link.link (symtab_frag :: frags)))
+    Bphase.time Bphase.Link (fun () ->
+        Link.link ((symtab_frag :: startup :: fns) @ [ rt ]))
   in
-  (image, elided)
+  (image, !elided)
 
 let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     ?(sched = Sched.default) ?(sizes = L.default_sizes)

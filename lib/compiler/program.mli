@@ -59,8 +59,7 @@ val analyze : string -> frontend
 
 (** Backend selection.  [`Incremental] (the default) compiles one
     relocatable object per unit — startup stub, each function, the
-    runtime group — schedules each independently, consults the
-    content-addressed {!Objcache}, and links with
+    runtime group — schedules each independently and links them with
     {!Tagsim_asm.Link.link}; [`Monolithic] is the original
     single-buffer whole-program path, kept as the differential oracle.
     Both produce byte-identical images ({!Tagsim_asm.Image.equal}). *)

@@ -47,21 +47,9 @@ let with_builtins () =
   t
 
 let mark_function t name ~arity = Hashtbl.replace t.functions name arity
-let is_function t name = Hashtbl.mem t.functions name
 let arity_of t name = Hashtbl.find_opt t.functions name
 let count t = t.count
 let names t = List.rev t.names
-
-(** Names interned at index [from] or later, in intern order: the
-    intern effect of a compilation unit, recorded into its relocatable
-    object and replayed on a cache hit so that later units see an
-    identical symbol-table environment. *)
-let names_from t from =
-  let rec take n l acc =
-    if n = 0 then acc
-    else match l with [] -> acc | x :: rest -> take (n - 1) rest (x :: acc)
-  in
-  take (t.count - from) t.names []
 
 let name_of t idx =
   match List.nth_opt (names t) idx with

@@ -15,19 +15,10 @@ val intern : t -> string -> int
     carry the arity for the [funcall] arity check). *)
 val mark_function : t -> string -> arity:int -> unit
 
-(** Does the symbol name a compiled function? *)
-val is_function : t -> string -> bool
-
 (** The arity recorded by {!mark_function}, if the symbol names a
     compiled function. *)
 val arity_of : t -> string -> int option
 
-val count : t -> int
-val names : t -> string list
-
-(** Names interned at index [from] or later, in intern order (the
-    intern effect of a compilation unit). *)
-val names_from : t -> int -> string list
 val name_of : t -> int -> string
 val find_opt : t -> string -> int option
 

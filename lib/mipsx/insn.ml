@@ -127,6 +127,27 @@ let reads = function
   | Rett -> [ Reg.epc ]
   | Trap _ | Halt | Nop -> []
 
+(** Does the instruction read register [r]?  [List.mem r (reads i)]
+    without building the list: the simulator asks it on every
+    load-use interlock probe. *)
+let reads_reg i r =
+  match i with
+  | Alu (_, _, rs, rt)
+  | St (_, rs, rt, _)
+  | B ({ rs; rt; _ }, _)
+  | Add_gen (_, rs, rt)
+  | Sub_gen (_, rs, rt) ->
+      rs = r || rt = r
+  | Alui (_, _, rs, _)
+  | Mv (_, rs)
+  | Ld (_, _, rs, _)
+  | Bi ({ bi_rs = rs; _ }, _)
+  | Btag ({ bt_rs = rs; _ }, _)
+  | Jr rs | Jalr rs | Settd rs ->
+      rs = r
+  | Rett -> r = Reg.epc
+  | Li _ | La _ | J _ | Jal _ | Trap _ | Halt | Nop -> false
+
 (** Register written by an instruction, if any. *)
 let writes = function
   | Alu (_, rd, _, _)

@@ -86,6 +86,10 @@ type 'lbl t =
 
 val is_control : 'lbl t -> bool
 val reads : 'lbl t -> Reg.t list
+
+(** [reads_reg i r] is [List.mem r (reads i)], without allocating. *)
+val reads_reg : 'lbl t -> Reg.t -> bool
+
 val writes : 'lbl t -> Reg.t option
 val has_memory_effect : 'lbl t -> bool
 

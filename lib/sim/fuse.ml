@@ -329,7 +329,7 @@ let read_regs (insn : int Insn.t) =
    [pending_load] set; every other instruction resets it.) *)
 let interlocks_after prev_insn next_insn =
   match prev_insn with
-  | Insn.Ld (_, rd, _, _) -> List.mem rd (Insn.reads next_insn)
+  | Insn.Ld (_, rd, _, _) -> Insn.reads_reg next_insn rd
   | _ -> false
 
 let exit_pl_of (insn : int Insn.t) =

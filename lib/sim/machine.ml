@@ -293,7 +293,7 @@ let effective t (mode : Insn.mem_mode) base off ~speculative =
 (* A load-use dependence costs one no-op cycle, as if the assembler had
    inserted a delay no-op (counted in the no-op instruction class). *)
 let interlock_check t (insn : int Insn.t) =
-  if t.pending_load >= 0 && List.mem t.pending_load (Insn.reads insn) then begin
+  if t.pending_load >= 0 && Insn.reads_reg insn t.pending_load then begin
     t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
     t.stats.Stats.interlocks <- t.stats.Stats.interlocks + 1;
     Stats.count_insn t.stats Insn.K_nop

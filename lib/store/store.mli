@@ -1,8 +1,7 @@
 (** The content-addressed on-disk store behind the measurement cache.
-    (Compiled objects and trace plans live in the process only: one
-    file per object made a cold run slower than recompiling, and
-    persisted plans bought no measurable end-to-end time; see
-    [Objcache] and [Plan].)
+    (Compiled objects and trace plans are not persisted: one file per
+    object made a cold run slower than recompiling, and persisted
+    plans bought no measurable end-to-end time; see [Plan].)
 
     A namespace maps hex keys to bytes, one file [<dir>/<key>.<ext>]
     per key, starting with the header line

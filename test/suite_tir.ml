@@ -124,7 +124,7 @@ let lower_named src name =
       Hashtbl.replace funcs d.Ast.name (List.length d.Ast.params))
     defs;
   let d = List.find (fun (d : Ast.def) -> d.Ast.name = name) defs in
-  Lower.def symtab funcs d
+  Lower.def ~fresh:(Tagsim.Buf.fresh (Tagsim.Buf.create ())) symtab funcs d
 
 let elided_in src name =
   let _, n = Checkelim.run (lower_named src name) in

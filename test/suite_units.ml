@@ -260,7 +260,30 @@ let test_machine_load_interlock () =
     (Machine.stats m).Stats.interlocks
   in
   Alcotest.(check int) "interlock charged" 1 (interlocks false);
-  Alcotest.(check int) "no interlock with a gap" 0 (interlocks true)
+  Alcotest.(check int) "no interlock with a gap" 0 (interlocks true);  (* The probe's register test agrees with [Insn.reads] on every
+     constructor that reads a register, for every register. *)
+  let br =
+    { Insn.cond = Insn.Eq; rs = 3; rt = 4; squash = false; hint = Insn.No_hint }
+  in
+  List.iter
+    (fun (i : int Insn.t) ->
+      for r = 0 to Reg.count - 1 do
+        Alcotest.(check bool) "reads_reg = List.mem r reads"
+          (List.mem r (Insn.reads i)) (Insn.reads_reg i r)
+      done)
+    [
+      Insn.Alu (Insn.Add, 2, 3, 4); Insn.Alui (Insn.Add, 2, 3, 1);
+      Insn.Li (2, 1); Insn.La (2, 0); Insn.Mv (2, 3);
+      Insn.Ld (Insn.Plain, 2, 3, 0); Insn.St (Insn.Plain, 3, 4, 0);
+      Insn.B (br, 0);
+      Insn.Bi ({ Insn.bi_cond = Insn.Eq; bi_rs = 3; bi_imm = 0;
+                 bi_squash = false; bi_hint = Insn.No_hint }, 0);
+      Insn.Btag ({ Insn.bt_neg = false; bt_rs = 3; bt_tag = 0;
+                   bt_squash = false; bt_hint = Insn.No_hint }, 0);
+      Insn.J 0; Insn.Jal 0; Insn.Jr 3; Insn.Jalr 3;
+      Insn.Add_gen (2, 3, 4); Insn.Sub_gen (2, 3, 4); Insn.Settd 3;
+      Insn.Rett; Insn.Trap 0; Insn.Halt; Insn.Nop;
+    ]
 
 let test_machine_call () =
   (* jal: ra = address after the two delay slots; jr returns there. *)
