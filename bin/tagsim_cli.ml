@@ -470,7 +470,9 @@ let experiments_cmd =
       & info [ "no-cache" ]
           ~doc:
             "Bypass the persistent measurement cache entirely: neither \
-             read nor write it (the in-process object memo stays on).")
+             read nor write it, so every configuration is compiled and \
+             simulated (the in-process measurement memo still shares a \
+             configuration between the artifacts that use it).")
   in
   let verbose =
     Arg.(

@@ -11,23 +11,27 @@
     its terminator and delay slots.
 
     A compiled path pre-sums everything statically knowable into one
-    {!delta} applied in a single shot on entry: instruction and class
+    [Machine.delta], counted once on entry: instruction and class
     counts, per-slot annotation cycles, ALU and wide-immediate cycle
     charges, load-use interlocks between adjacent instructions (fully
     determined by the instruction pair), and each terminator's issue
-    cycle.  The remaining per-instruction work is threaded as a
-    continuation chain: {!compile_op} turns each simple instruction
-    into a closure doing only the genuinely dynamic part (register
-    writes, memory traffic, trap and abort detection) that tail-calls
-    the next, with the operator of a never-trapping operation inlined;
-    no-ops and writes to the zero register vanish entirely.
-    {!cond_test} likewise compiles every branch condition.  A dynamic
-    early exit (division by zero, a checked-access type trap, a
-    generic-arithmetic trap, a memory fault) subtracts the pre-summed
-    statistics of the instructions that did not execute and refunds
-    their pre-paid fuel, so the engine stays bit-identical to the
-    reference interpreter — statistics, abort codes, machine errors and
-    fuel trajectory (enforced by the engine differential suite).
+    cycle.  Deltas are not applied to [Stats] as the path runs: each
+    has an id in the trace state, the closures add one to or take one
+    from the running machine's count for it, and [Machine.run] folds
+    [count * delta] into [Stats] when it returns.  The remaining
+    per-instruction work is threaded as a continuation chain:
+    {!compile_op} turns each simple instruction into a closure doing
+    only the genuinely dynamic part (register writes, memory traffic,
+    trap and abort detection) that tail-calls the next, with the
+    operator of a never-trapping operation inlined; no-ops and writes
+    to the zero register vanish entirely.  {!cond_test} likewise
+    compiles every branch condition.  A dynamic early exit (division by
+    zero, a checked-access type trap, a generic-arithmetic trap, a
+    memory fault) uncounts the pre-summed statistics of the
+    instructions that did not execute and refunds their pre-paid fuel,
+    so the engine stays bit-identical to the reference interpreter —
+    statistics, abort codes, machine errors and fuel trajectory
+    (enforced by the engine differential suite).
 
     Delay slots are compiled into their branch only when both slot
     instructions are simple (not control, not generic arithmetic): the
@@ -151,15 +155,6 @@ let acc_add a (u : ustat) =
     a.a_klass.(nop_klass) <- a.a_klass.(nop_klass) + 1
   end
 
-(** A pre-summed statistics delta, flattened into one int array so that
-    applying it is a single linear sweep: [0..3] hold the cycle,
-    instruction, interlock and squashed-slot totals, [4] holds the index
-    just past the kind-counter pairs, and the rest are sparse (index,
-    amount) pairs in ascending index order — kind-cycle pairs first,
-    class-count pairs after — because a path typically touches a
-    handful of the counter slots. *)
-type delta = int array
-
 let count_nonzero arr =
   let n = ref 0 in
   for i = 0 to Array.length arr - 1 do
@@ -179,7 +174,8 @@ let fill_pairs d pos arr =
     end
   done
 
-let compress a : delta =
+(* The sparse snapshot of [a], in [Machine.delta]'s layout. *)
+let compress a : M.delta =
   let kind_end = 5 + (2 * count_nonzero a.a_kind) in
   let d = Array.make (kind_end + (2 * count_nonzero a.a_klass)) 0 in
   d.(0) <- a.a_cycles;
@@ -191,129 +187,17 @@ let compress a : delta =
   fill_pairs d kind_end a.a_klass;
   d
 
-(* [compress] with one more charge, leaving [a] as it was. *)
-let compress_charged a si c =
-  acc_charge a si c;
-  let d = compress a in
-  acc_charge a si (-c);
-  d
+(* Add [n] (+1 applied, -1 undone) to delta [id]'s count in the running
+   machine.  The trace entry sized [t.counts] to the trace's ids, so the
+   unchecked accesses cannot go wrong. *)
+let count id n (t : M.t) =
+  let c = t.M.counts in
+  Array.unsafe_set c id (Array.unsafe_get c id + n)
 
-(* The sparse indices come from [Stats.slot]/[Insn.klass_index] by
-   construction, so the unchecked accesses below cannot go wrong. *)
-let delta_apply (s : Stats.t) (d : delta) =
-  s.Stats.cycles <- s.Stats.cycles + Array.unsafe_get d 0;
-  s.Stats.insns <- s.Stats.insns + Array.unsafe_get d 1;
-  s.Stats.interlocks <- s.Stats.interlocks + Array.unsafe_get d 2;
-  s.Stats.squashed <- s.Stats.squashed + Array.unsafe_get d 3;
-  let kind_end = Array.unsafe_get d 4 in
-  let kc = s.Stats.kind_cycles in
-  let i = ref 5 in
-  while !i < kind_end do
-    let idx = Array.unsafe_get d !i in
-    Array.unsafe_set kc idx
-      (Array.unsafe_get kc idx + Array.unsafe_get d (!i + 1));
-    i := !i + 2
-  done;
-  let ki = s.Stats.klass_insns in
-  let len = Array.length d in
-  while !i < len do
-    let idx = Array.unsafe_get d !i in
-    Array.unsafe_set ki idx
-      (Array.unsafe_get ki idx + Array.unsafe_get d (!i + 1));
-    i := !i + 2
-  done
-
-let delta_undo (s : Stats.t) (d : delta) =
-  s.Stats.cycles <- s.Stats.cycles - Array.unsafe_get d 0;
-  s.Stats.insns <- s.Stats.insns - Array.unsafe_get d 1;
-  s.Stats.interlocks <- s.Stats.interlocks - Array.unsafe_get d 2;
-  s.Stats.squashed <- s.Stats.squashed - Array.unsafe_get d 3;
-  let kind_end = Array.unsafe_get d 4 in
-  let kc = s.Stats.kind_cycles in
-  let i = ref 5 in
-  while !i < kind_end do
-    let idx = Array.unsafe_get d !i in
-    Array.unsafe_set kc idx
-      (Array.unsafe_get kc idx - Array.unsafe_get d (!i + 1));
-    i := !i + 2
-  done;
-  let ki = s.Stats.klass_insns in
-  let len = Array.length d in
-  while !i < len do
-    let idx = Array.unsafe_get d !i in
-    Array.unsafe_set ki idx
-      (Array.unsafe_get ki idx - Array.unsafe_get d (!i + 1));
-    i := !i + 2
-  done
-
-(* Specialised applier for a delta on the hot trace-entry path: the
-   common small shapes (one or two kind pairs, one or two class pairs)
-   compile to straight-line adds through a flat closure, which beats the
-   generic header-and-sweep of [delta_apply]; anything larger falls back
-   to it.  The indices are trusted for the same reason as above. *)
-let apply_fn (d : delta) : Stats.t -> unit =
-  let dc = d.(0) and di = d.(1) and dl = d.(2) in
-  let ke = d.(4) in
-  let n = Array.length d in
-  if d.(3) <> 0 then fun s -> delta_apply s d
-  else
-    match (ke - 5, n - ke) with
-  | 2, 2 ->
-      let i1 = d.(5) and v1 = d.(6) in
-      let j1 = d.(ke) and w1 = d.(ke + 1) in
-      fun s ->
-        s.Stats.cycles <- s.Stats.cycles + dc;
-        s.Stats.insns <- s.Stats.insns + di;
-        s.Stats.interlocks <- s.Stats.interlocks + dl;
-        let kc = s.Stats.kind_cycles and ki = s.Stats.klass_insns in
-        Array.unsafe_set kc i1 (Array.unsafe_get kc i1 + v1);
-        Array.unsafe_set ki j1 (Array.unsafe_get ki j1 + w1)
-  | 4, 2 ->
-      let i1 = d.(5) and v1 = d.(6) and i2 = d.(7) and v2 = d.(8) in
-      let j1 = d.(ke) and w1 = d.(ke + 1) in
-      fun s ->
-        s.Stats.cycles <- s.Stats.cycles + dc;
-        s.Stats.insns <- s.Stats.insns + di;
-        s.Stats.interlocks <- s.Stats.interlocks + dl;
-        let kc = s.Stats.kind_cycles and ki = s.Stats.klass_insns in
-        Array.unsafe_set kc i1 (Array.unsafe_get kc i1 + v1);
-        Array.unsafe_set kc i2 (Array.unsafe_get kc i2 + v2);
-        Array.unsafe_set ki j1 (Array.unsafe_get ki j1 + w1)
-  | 2, 4 ->
-      let i1 = d.(5) and v1 = d.(6) in
-      let j1 = d.(ke) and w1 = d.(ke + 1) in
-      let j2 = d.(ke + 2) and w2 = d.(ke + 3) in
-      fun s ->
-        s.Stats.cycles <- s.Stats.cycles + dc;
-        s.Stats.insns <- s.Stats.insns + di;
-        s.Stats.interlocks <- s.Stats.interlocks + dl;
-        let kc = s.Stats.kind_cycles and ki = s.Stats.klass_insns in
-        Array.unsafe_set kc i1 (Array.unsafe_get kc i1 + v1);
-        Array.unsafe_set ki j1 (Array.unsafe_get ki j1 + w1);
-        Array.unsafe_set ki j2 (Array.unsafe_get ki j2 + w2)
-  | 4, 4 ->
-      let i1 = d.(5) and v1 = d.(6) and i2 = d.(7) and v2 = d.(8) in
-      let j1 = d.(ke) and w1 = d.(ke + 1) in
-      let j2 = d.(ke + 2) and w2 = d.(ke + 3) in
-      fun s ->
-        s.Stats.cycles <- s.Stats.cycles + dc;
-        s.Stats.insns <- s.Stats.insns + di;
-        s.Stats.interlocks <- s.Stats.interlocks + dl;
-        let kc = s.Stats.kind_cycles and ki = s.Stats.klass_insns in
-        Array.unsafe_set kc i1 (Array.unsafe_get kc i1 + v1);
-        Array.unsafe_set kc i2 (Array.unsafe_get kc i2 + v2);
-        Array.unsafe_set ki j1 (Array.unsafe_get ki j1 + w1);
-        Array.unsafe_set ki j2 (Array.unsafe_get ki j2 + w2)
-  | _ -> fun s -> delta_apply s d
-
-(* Dynamic trace-entry interlock (the one probe compilation cannot
-   remove: whatever ran before the trace may end in a load). *)
-let interlock_stats (t : M.t) =
-  let s = t.M.stats in
-  s.Stats.cycles <- s.Stats.cycles + 1;
-  s.Stats.interlocks <- s.Stats.interlocks + 1;
-  s.Stats.insns <- s.Stats.insns + 1;
-  s.Stats.klass_insns.(nop_klass) <- s.Stats.klass_insns.(nop_klass) + 1
+(* The dynamic trace-entry interlock (the one probe compilation cannot
+   remove: whatever ran before the trace may end in a load): a unit
+   that retires only the interlock's no-op. *)
+let interlock_stat : ustat = interlock_bit
 
 (* Registers read by an instruction as a pre-resolved pair (at most two;
    -1 = none), replacing the per-retirement [Insn.reads] list. *)
@@ -531,16 +415,16 @@ let cond_test (hw : M.hw) (e : Image.entry) : M.t -> bool =
    genuinely dynamic work and tail-calls [next]; no-ops and writes to
    the zero register compile to [next] itself, and a never-trapping
    operation has its operator inlined (no indirect evaluator call on
-   the hot path).  [suffix] holds the
-   statistics pre-summed for every unit after this one.  An instruction
-   that can leave early snapshots its undo delta from it here, at
-   compile time; on a dynamic exit the closure undoes that delta,
-   refunds its pre-paid fuel, and does not call [next]. *)
-let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
-    ~(next : chain_fn) : chain_fn =
+   the hot path).  [suffix] holds the statistics pre-summed for every
+   unit after this one.  An instruction that can leave early snapshots
+   its undo delta from it here, at compile time, and [snap] registers it
+   under an id; on a dynamic exit the closure uncounts that id, refunds
+   its pre-paid fuel, and does not call [next]. *)
+let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc)
+    ~(snap : acc -> int) ~refund ~(next : chain_fn) : chain_fn =
   let insn = e.Image.insn in
   let exit_early u (t : M.t) =
-    delta_undo t.M.stats u;
+    count u (-1) t;
     if refund <> 0 then t.M.fuel <- t.M.fuel + refund
   in
   match insn with
@@ -549,9 +433,10 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
       (* The charge is pre-summed for the success path; a division by
          zero aborts before charging, so the undo of the suffix also
          takes back this instruction's own cycles. *)
-      let u =
-        compress_charged suffix (Stats.slot e.Image.annot) (M.alu_cycles op)
-      in
+      let si = Stats.slot e.Image.annot and c = M.alu_cycles op in
+      acc_charge suffix si c;
+      let u = snap suffix in
+      acc_charge suffix si (-c);
       let ev = if op = Insn.Div then Word.div else Word.rem in
       fun t ->
         let b = t.M.regs.(rt) in
@@ -567,7 +452,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
         end
   | Insn.Alui ((Insn.Div | Insn.Rem), _, _, 0) ->
       (* Never charged, so the undo is the plain suffix. *)
-      let u = compress suffix in
+      let u = snap suffix in
       fun t ->
         exit_early u t;
         M.abort t M.err_div0;
@@ -713,7 +598,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
   | Insn.Ld (mode, rd, rs, off) ->
       (* A type trap aborts and a memory fault raises; either way the
          load's own issue stands and only the suffix is undone. *)
-      let u = compress suffix in
+      let u = snap suffix in
       let eff = effective_fn hw e p mode off ~fault:(exit_early u) in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
@@ -728,7 +613,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
           next t
         end
   | Insn.St (mode, rs, rt, off) ->
-      let u = compress suffix in
+      let u = snap suffix in
       let eff = effective_fn hw e p mode off ~fault:(exit_early u) in
       fun t ->
         let addr = eff t t.M.regs.(rs) in
@@ -750,7 +635,7 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc) ~refund
       let overhead = hw.M.trap_overhead in
       let is_int = hw.M.is_int_item in
       let overflowed = hw.M.gen_overflowed in
-      let u = compress suffix in
+      let u = snap suffix in
       let resume = p + 1 in
       fun t ->
         let a = t.M.regs.(rs) and b = t.M.regs.(rt) in

@@ -7,7 +7,7 @@
     Compiled code produces bit-identical {!Stats.t} to the reference
     interpreter, including on dynamic early exits (division by zero,
     checked-load type traps, generic-arithmetic traps, memory faults),
-    which undo the pre-summed statistics and refund the pre-paid fuel
+    which uncount the pre-summed statistics and refund the pre-paid fuel
     of the unexecuted suffix (enforced by the engine differential
     suite). *)
 
@@ -49,7 +49,8 @@ val stopped : int
 
     The trace compiler sweeps the units of a trace right to left
     through one dense running accumulator; entry, guard and undo deltas
-    are sparse snapshots of it. *)
+    are sparse snapshots of it, counted by id at run time and folded
+    into {!Stats.t} by [Machine.run]. *)
 
 (** One unit's static statistics (an instruction's count, success-path
     cycle charge and load-use interlock, or the annulled slot pair of a
@@ -67,6 +68,10 @@ val contribution : Image.entry option -> Image.entry -> ustat
     trace's expected path falls through a squashing branch. *)
 val squash_stat : int -> ustat
 
+(** The dynamic trace-entry interlock (the one probe compilation cannot
+    remove: whatever ran before the trace may end in a load). *)
+val interlock_stat : ustat
+
 (** Dense statistics accumulator: totals, then one counter per kind
     slot and per instruction class, laid out like {!Stats.t}. *)
 type acc = {
@@ -82,24 +87,13 @@ val acc_create : unit -> acc
 val acc_clear : acc -> unit
 val acc_add : acc -> ustat -> unit
 
-(** A pre-summed statistics delta, flattened for single-sweep
-    application: the four totals, the index just past the kind-slot
-    pairs, then (slot, amount) pairs in ascending slot order, kind
-    slots first and classes after. *)
-type delta = int array
+(** The sparse snapshot of an accumulator, in {!Machine.delta}'s
+    layout. *)
+val compress : acc -> Machine.delta
 
-(** The sparse snapshot of an accumulator. *)
-val compress : acc -> delta
-
-(** A shape-specialised applier for one delta (falls back to the
-    generic sweep for large or squash-carrying deltas). *)
-val apply_fn : delta -> Stats.t -> unit
-
-val delta_undo : Stats.t -> delta -> unit
-
-(** The dynamic trace-entry interlock charge (the one probe compilation
-    cannot remove: whatever ran before the trace may end in a load). *)
-val interlock_stats : Machine.t -> unit
+(** [count id n] adds [n] (+1 applied, -1 undone) to delta [id]'s
+    count in the running machine; the trace entry has sized [counts]. *)
+val count : int -> int -> Machine.t -> unit
 
 (** Registers read by an instruction as a pre-resolved pair (at most
     two; -1 = none). *)
@@ -115,14 +109,16 @@ val exit_pl_of : int Insn.t -> int
     [suffix] holds the statistics pre-summed for every unit after this
     one; an instruction that can exit early snapshots its undo delta
     from it during the call (a division adds back its own success-path
-    charge).  On a dynamic exit the closure undoes that delta, refunds
-    [refund] pre-paid fuel, and does not call [next]; a load or store
-    that raises [Machine.Machine_error] does the same before raising. *)
+    charge) and [snap] registers the snapshot under a delta id.  On a
+    dynamic exit the closure uncounts that id, refunds [refund]
+    pre-paid fuel, and does not call [next]; a load or store that raises
+    [Machine.Machine_error] does the same before raising. *)
 val compile_op :
   Machine.hw ->
   Image.entry ->
   pc:int ->
   suffix:acc ->
+  snap:(acc -> int) ->
   refund:int ->
   next:chain_fn ->
   chain_fn

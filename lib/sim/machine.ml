@@ -89,6 +89,9 @@ type t = {
       (* trace-engine state (heat/edge profile and formed traces),
          installed by Trace.attach; None until then, and [run] stays on
          the reference interpreter *)
+  mutable counts : int array;
+      (* per delta id: its count in the current [run], folded into
+         [stats] and zeroed when [run] returns *)
 }
 
 (* Trace-engine state, one per attached code image (shareable between
@@ -108,7 +111,8 @@ type t = {
    immutable [tr_pc] before it runs.
    [ts_plans] mirrors [ts_traces] as pure data: one [Plan.trace] per
    formed trace.  [ts_dirty] is never set: it stays only for tagbench/,
-   which still reads it. *)
+   which still reads it.  [ts_deltas] holds the delta of each id the
+   traces count (the first [ts_ndeltas] slots, used under [ts_lock]). *)
 and tstate = {
   ts_leader : bool array;
   ts_traces : trace option array;
@@ -121,6 +125,9 @@ and tstate = {
   ts_form : t -> int -> unit;
   mutable ts_plans : Plan.trace list; (* newest first *)
   mutable ts_dirty : bool;
+  mutable ts_deltas : delta array;
+  mutable ts_ndeltas : int;
+  ts_lock : Mutex.t;
 }
 
 (* A compiled superblock trace: [tr_exec] retires the whole expected
@@ -132,14 +139,21 @@ and tstate = {
    decided.  [tr_next] memoises the trace at [tr_exit] for direct trace
    chaining (a loop trace chains to itself); the memo is validated
    against the immutable [tr_pc], so a stale or torn read can only miss,
-   never run the wrong trace. *)
+   never run the wrong trace.  [tr_ids] bounds the delta ids it counts. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
+  tr_ids : int;
   mutable tr_next : trace option;
 }
+
+(* A pre-summed statistics delta: [0..3] hold the cycle, instruction,
+   interlock and squashed-slot totals, [4] the index just past the
+   kind-counter pairs, and the rest are sparse (index, amount) pairs,
+   kind-cycle pairs first, class-count pairs after. *)
+and delta = int array
 
 (* Error codes used by [Aborted]. *)
 let err_type = 1
@@ -185,6 +199,7 @@ let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
     fuel;
     in_slot = false;
     tstate = None;
+    counts = [||];
   }
 
 let set_gen_handlers t ~add ~sub =
@@ -532,6 +547,56 @@ let reset_trace_counters () =
   Atomic.set tt_form_ns_a 0;
   Atomic.set tt_form_words_a 0
 
+(* --- Counted deltas.  Sums commute, so a trace does not add its
+   deltas into [stats] as it runs: its closures count them (+1 applied,
+   -1 undone) in [t.counts], and [run] folds [count * delta] into
+   [stats] once, when it returns. --- *)
+
+let fold_delta (s : Stats.t) (d : delta) n =
+  s.Stats.cycles <- s.Stats.cycles + (n * d.(0));
+  s.Stats.insns <- s.Stats.insns + (n * d.(1));
+  s.Stats.interlocks <- s.Stats.interlocks + (n * d.(2));
+  s.Stats.squashed <- s.Stats.squashed + (n * d.(3));
+  let rec pairs i =
+    if i < Array.length d then begin
+      let a = if i < d.(4) then s.Stats.kind_cycles else s.Stats.klass_insns in
+      a.(d.(i)) <- a.(d.(i)) + (n * d.(i + 1));
+      pairs (i + 2)
+    end
+  in
+  pairs 5
+
+(* Machines in several domains may share a trace state while they form
+   traces, hence the lock. *)
+let register_delta ts (d : delta) =
+  Mutex.protect ts.ts_lock (fun () ->
+      let id = ts.ts_ndeltas in
+      if id = Array.length ts.ts_deltas then begin
+        let grown = Array.make (max 64 (2 * id)) [||] in
+        Array.blit ts.ts_deltas 0 grown 0 id;
+        ts.ts_deltas <- grown
+      end;
+      ts.ts_deltas.(id) <- d;
+      ts.ts_ndeltas <- id + 1;
+      id)
+
+let grow_counts t ids =
+  let counts = Array.make (max ids (2 * Array.length t.counts)) 0 in
+  Array.blit t.counts 0 counts 0 (Array.length t.counts);
+  t.counts <- counts
+
+(* A non-zero count belongs to a trace that ran, so its delta was
+   registered before the trace was installed. *)
+let fold_counts t ts =
+  Mutex.protect ts.ts_lock (fun () ->
+      Array.iteri
+        (fun id n ->
+          if n <> 0 then begin
+            fold_delta t.stats ts.ts_deltas.(id) n;
+            t.counts.(id) <- 0
+          end)
+        t.counts)
+
 (* The traced loop, in two tiers.  At every dispatch point — the start
    of a run, a trace exit, and the end of a straight-line run — a formed
    trace at the pc is entered.  Anything else runs on the reference
@@ -548,7 +613,7 @@ let reset_trace_counters () =
    trace at its exit (a loop trace chains to itself).  It pre-pays its
    [tr_steps] fuel; when the fuel left cannot cover that, its head is
    stepped instead, so [Out_of_fuel] fires at the identical retirement
-   count. *)
+   count.  However the run ends, its [finally] folds the counts. *)
 let run_traced t ts =
   let n = Array.length t.code in
   (* [Trace.attach] sizes the trace state to the code; the unchecked
@@ -598,6 +663,7 @@ let run_traced t ts =
         if Array.unsafe_get leader pc then enter_leader pc else step_one ()
   and enter_trace tr =
     if t.fuel >= tr.tr_steps then begin
+      if tr.tr_ids > Array.length t.counts then grow_counts t tr.tr_ids;
       incr entries;
       let f0 = t.fuel in
       t.fuel <- f0 - tr.tr_steps;
@@ -668,6 +734,7 @@ let run_traced t ts =
   in
   Fun.protect
     ~finally:(fun () ->
+      fold_counts t ts;
       if !entries > 0 then begin
         ignore (Atomic.fetch_and_add tt_entries_a !entries);
         ignore (Atomic.fetch_and_add tt_side_exits_a !side_exits);

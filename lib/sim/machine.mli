@@ -14,7 +14,8 @@
       per-leader entry-heat and edge profile; hot paths are promoted to
       superblock traces — one straight-line closure per expected path,
       with a single pre-summed statistics delta and guarded side exits
-      that roll back to exact accounting.  A trace whose pre-paid fuel
+      that roll back to exact accounting (counted, and folded into
+      {!Stats.t} when {!run} returns).  A trace whose pre-paid fuel
       does not fit the fuel left falls back to {!step}.
     Both engines must produce bit-identical {!Stats.t} (enforced by the
     differential engine suite and the fuzzer). *)
@@ -84,6 +85,9 @@ type t = {
   mutable in_slot : bool; (* executing a delay-slot instruction *)
   mutable tstate : tstate option;
       (* installed by Trace.attach; [None] runs the reference loop *)
+  mutable counts : int array;
+      (* per delta id: its count in the current {!run}, folded into
+         [stats] and zeroed when it returns *)
 }
 
 (** Trace-engine state (built by {!Trace.attach}): the basic-block
@@ -96,7 +100,9 @@ type t = {
     delay or repeat formation, never corrupt execution.  [ts_plans]
     mirrors [ts_traces] as pure data (one {!Plan.trace} per formed
     trace, newest first).  [ts_dirty] is never set: it stays only for
-    tagbench/, which still reads it. *)
+    tagbench/, which still reads it.  [ts_deltas] holds the delta of
+    each id the traces count (the first [ts_ndeltas] slots, used under
+    [ts_lock]); the counts belong to each machine. *)
 and tstate = {
   ts_leader : bool array;
   ts_traces : trace option array;
@@ -109,6 +115,9 @@ and tstate = {
   ts_form : t -> int -> unit;
   mutable ts_plans : Plan.trace list; (* newest first *)
   mutable ts_dirty : bool;
+  mutable ts_deltas : delta array;
+  mutable ts_ndeltas : int;
+  ts_lock : Mutex.t;
 }
 
 (** A compiled superblock trace (built by {!Trace}): [tr_exec] retires
@@ -119,14 +128,21 @@ and tstate = {
     what ran), or a negative value once the outcome is decided.
     [tr_next] memoises the trace at [tr_exit] for direct chaining (a
     loop trace chains to itself), validated against the immutable
-    [tr_pc], so a stale or torn read can only miss. *)
+    [tr_pc], so a stale or torn read can only miss.  [tr_exec] counts
+    delta ids below [tr_ids]; the run loop sizes [counts] to fit. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
+  tr_ids : int;
   mutable tr_next : trace option;
 }
+
+(** A pre-summed statistics delta: the cycle, instruction, interlock
+    and squashed-slot totals, the index just past the kind-slot pairs,
+    then (slot, amount) pairs, kind slots first and classes after. *)
+and delta = int array
 
 (** {1 Abort codes} *)
 
@@ -186,8 +202,19 @@ val step : t -> unit
 exception Out_of_fuel
 
 (** Run to completion: the traced loop when {!Trace.attach} has
-    installed trace-engine state, the reference loop otherwise. *)
+    installed trace-engine state, the reference loop otherwise.
+    However the traced loop ends (even by {!Out_of_fuel} or a
+    {!Machine_error}), it folds its delta counts into {!stats}. *)
 val run : t -> outcome
+
+(** {1 Counted deltas} *)
+
+(** Register a delta in the trace state and return its id; safe
+    across domains. *)
+val register_delta : tstate -> delta -> int
+
+(** [fold_delta s d n] adds [n] times [d] into [s]. *)
+val fold_delta : Stats.t -> delta -> int -> unit
 
 (** {1 Trace-engine instrumentation}
 

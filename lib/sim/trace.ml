@@ -18,10 +18,11 @@
     whose statically-knowable statistics — including the cross-junction
     delay-slot interlocks and the annul accounting of squashing
     branches the path falls through — are pre-summed into a single
-    delta applied once on trace entry.
+    delta counted once on trace entry (by id, in the running machine;
+    [Machine.run] folds [count * delta] into [Stats] when it returns).
 
     Exactness comes from the guards.  Each junction that can leave the
-    expected path compiles a side exit that (a) subtracts the pre-summed
+    expected path compiles a side exit that (a) uncounts the pre-summed
     delta of everything that will now not execute (the off-path
     continuation of this junction plus every later segment), (b) refunds
     the corresponding pre-paid fuel, (c) performs whatever the off path
@@ -218,10 +219,22 @@ let grow (m : M.t) (ts : M.tstate) head =
    it holds the entry delta.  Off-path slot deltas, which do not depend
    on the expected path, are swept through a second, scratch
    accumulator. *)
-let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
+let compile_trace (m : M.t) ts (segs : seg array) exit_pc : M.trace =
   let hw = m.M.hw in
   let code = m.M.code in
   let acc = Fuse.acc_create () and scratch = Fuse.acc_create () in
+  (* [ids]: one past the highest delta id this trace counts. *)
+  let ids = ref 0 in
+  let snap a =
+    let id = M.register_delta ts (Fuse.compress a) in
+    if id >= !ids then ids := id + 1;
+    id
+  in
+  let snap_unit u =
+    Fuse.acc_clear scratch;
+    Fuse.acc_add scratch u;
+    snap scratch
+  in
   let k = Array.length segs in
   let slots_run i =
     (* Annulled only when the expected path falls through a squashing
@@ -275,10 +288,12 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
        owes back what [a] holds when it is compiled, and both slots are
        left in [a]. *)
     let slot_pair a ~refund next =
-      let s2op = Fuse.compile_op hw s.sg_s2 ~pc:c ~suffix:a ~refund ~next in
+      let s2op =
+        Fuse.compile_op hw s.sg_s2 ~pc:c ~suffix:a ~snap ~refund ~next
+      in
       Fuse.acc_add a sc2;
       let s1op =
-        Fuse.compile_op hw s.sg_s1 ~pc:c ~suffix:a ~refund ~next:s2op
+        Fuse.compile_op hw s.sg_s1 ~pc:c ~suffix:a ~snap ~refund ~next:s2op
       in
       Fuse.acc_add a sc1;
       s1op
@@ -313,11 +328,11 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
           (* Slots run before the target is known; the guard then tests
              the latched target against the expected successor. *)
           let expected = s.sg_next in
-          let d_suffix = Fuse.compress acc in
+          let d_suffix = snap acc in
           let guard (t : M.t) =
             if t.M.jump_target = expected then cont t
             else begin
-              Fuse.delta_undo t.M.stats d_suffix;
+              Fuse.count d_suffix (-1) t;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
               t.M.pending_load <- post_pl;
               t.M.jump_target
@@ -341,11 +356,11 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
           if not s.sg_squash then begin
             (* Slots run on both paths with identical statistics; the
                side exit only owes the later segments. *)
-            let d_suffix = Fuse.compress acc in
+            let d_suffix = snap acc in
             let on = on_slots cont in
             let off_chain = off_slots pc_off in
             let off (t : M.t) =
-              Fuse.delta_undo t.M.stats d_suffix;
+              Fuse.count d_suffix (-1) t;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
               off_chain t
             in
@@ -357,14 +372,12 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
                through annuls them — undo slots and later segments, then
                charge the annul cycles the reference charges. *)
             let on = on_slots cont in
-            let d_undo = Fuse.compress acc in
+            let d_undo = snap acc in
+            let d_annul = snap_unit (Fuse.squash_stat si) in
             let off (t : M.t) =
-              Fuse.delta_undo t.M.stats d_undo;
+              Fuse.count d_undo (-1) t;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
-              let st = t.M.stats in
-              st.Stats.squashed <- st.Stats.squashed + 2;
-              st.Stats.cycles <- st.Stats.cycles + 2;
-              st.Stats.kind_cycles.(si) <- st.Stats.kind_cycles.(si) + 2;
+              Fuse.count d_annul 1 t;
               t.M.pending_load <- -1;
               fall
             in
@@ -377,13 +390,13 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
                slots for real — applying their statistics first, since
                the pre-sum deliberately left them out. *)
             Fuse.acc_add acc (Fuse.squash_stat si);
-            let d_undo = Fuse.compress acc in
+            let d_undo = snap acc in
             let off_chain = off_slots target in
-            let slots_apply = Fuse.apply_fn (Fuse.compress scratch) in
+            let d_slots = snap scratch in
             let off (t : M.t) =
-              Fuse.delta_undo t.M.stats d_undo;
+              Fuse.count d_undo (-1) t;
               if ra_ref <> 0 then t.M.fuel <- t.M.fuel + ra_ref;
-              slots_apply t.M.stats;
+              Fuse.count d_slots 1 t;
               off_chain t
             in
             fun t -> if test t then off t else cont t
@@ -399,7 +412,7 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
     for u = len - 1 downto 0 do
       let e = code.(l + u) in
       body :=
-        Fuse.compile_op hw e ~pc:(l + u) ~suffix:acc
+        Fuse.compile_op hw e ~pc:(l + u) ~suffix:acc ~snap
           ~refund:(len - u + ra_ref) ~next:!body;
       Fuse.acc_add acc
         (Fuse.contribution
@@ -410,26 +423,29 @@ let compile_trace (m : M.t) (segs : seg array) exit_pc : M.trace =
     refund_after := ra_ref + steps_of i
   done;
   let head = segs.(0).sg_pc in
-  let entry_apply = Fuse.apply_fn (Fuse.compress acc) in
+  let d_entry = snap acc in
   let body0 = !chain in
   (* The one dynamic interlock probe: the trace's first instruction
      against a load in flight from whatever ran before it. *)
   let er1, er2 = Fuse.read_regs code.(head).Image.insn in
   let exec =
     if er1 < 0 && er2 < 0 then fun (t : M.t) ->
-      entry_apply t.M.stats;
+      Fuse.count d_entry 1 t;
       body0 t
-    else fun (t : M.t) ->
-      let pl = t.M.pending_load in
-      if pl >= 0 && (pl = er1 || pl = er2) then Fuse.interlock_stats t;
-      entry_apply t.M.stats;
-      body0 t
+    else
+      let d_probe = snap_unit Fuse.interlock_stat in
+      fun (t : M.t) ->
+        let pl = t.M.pending_load in
+        if pl >= 0 && (pl = er1 || pl = er2) then Fuse.count d_probe 1 t;
+        Fuse.count d_entry 1 t;
+        body0 t
   in
   {
     M.tr_pc = head;
     M.tr_steps = !total_steps;
     M.tr_exit = exit_pc;
     M.tr_exec = exec;
+    M.tr_ids = !ids;
     M.tr_next = None;
   }
 
@@ -467,7 +483,7 @@ let form (t : M.t) head =
         let formed =
           match grow t ts head with
           | Ok (segs, exit_pc) ->
-              ts.M.ts_traces.(head) <- Some (compile_trace t segs exit_pc);
+              ts.M.ts_traces.(head) <- Some (compile_trace t ts segs exit_pc);
               ts.M.ts_plans <- plan_of_segs segs exit_pc :: ts.M.ts_plans;
               true
           | Error retryable ->
@@ -503,4 +519,7 @@ let attach ?(threshold = default_threshold) (m : M.t) =
             M.ts_form = form;
             M.ts_plans = [];
             M.ts_dirty = false;
+            M.ts_deltas = [||];
+            M.ts_ndeltas = 0;
+            M.ts_lock = Mutex.create ();
           }

@@ -11,6 +11,8 @@
     statistics delta — cross-junction delay-slot interlocks and
     squashing-branch annul accounting statically resolved — and guarded
     side exits that roll statistics and fuel back to the exact values.
+    Deltas are counted, and folded into the statistics when
+    [Machine.run] returns.
     [Machine.run] on an attached machine dispatches once per trace on
     hot paths and stays bit-identical to the reference interpreter,
     [Out_of_fuel] tail included (enforced by the engine differential
@@ -29,10 +31,10 @@ val max_segments : int
 
 (** Install the trace-engine state — the leader bitmap
     ({!Fuse.leaders}), heat and edge-profile counters and the (initially
-    empty) trace table — on the machine; idempotent, guarded by the code
-    length.  From then on [Machine.run] runs the traced engine
-    instead of the reference loop.  The state may be shared between
-    machines running the same image: a memoised trace is validated
-    before it runs, and racy profile updates only delay or repeat
-    formation. *)
+    empty) trace table and delta registry — on the machine; idempotent,
+    guarded by the code length.  From then on [Machine.run] runs the
+    traced engine instead of the reference loop.  The state may be
+    shared between machines running the same image: a memoised trace
+    is validated before it runs, and racy profile updates only delay or
+    repeat formation. *)
 val attach : ?threshold:int -> Machine.t -> unit

@@ -19,8 +19,11 @@
    slots — a generic add in a hot loop's slot, a label on such a branch,
    a control instruction, a generic-arithmetic trap, slots past the end
    of code — which no trace grows through and the reference [step]
-   runs, with identical machine errors.  The parallel measurement pool
-   must likewise be oblivious to the worker count. *)
+   runs, with identical machine errors.  Trace statistics are counted
+   per machine and folded when [run] returns: two domains sharing one
+   program's trace table, one program run twice, and one machine
+   resumed in fuel slices must each match the reference.  The parallel
+   measurement pool must likewise be oblivious to the worker count. *)
 
 module P = Tagsim.Program
 module Stats = Tagsim.Stats
@@ -916,11 +919,84 @@ let test_top_of_memory () =
   check_result "top-of-memory traced" reference
     (P.run ~engine:`Traced program)
 
-(* The sparse delta round trip: applying [Fuse.compress a] to a zeroed
-   [Stats.t] reproduces the dense accumulator [a] exactly, its pairs are
-   in ascending slot order with [kind_end] just past the kind pairs, and
-   undoing it returns to zero.  Checked on random accumulators and on
-   the single unit of every instruction of every registry image. *)
+(* Counted deltas belong to the running machine, not to the trace state
+   that every later machine of a program shares.  Two domains running
+   one program at once form and enter traces in one shared table, and
+   each must still get the reference's statistics.  Formation races
+   are timing-dependent, so three programs each get a fresh table. *)
+let test_shared_trace_state () =
+  let support = Support.with_checking Support.software in
+  List.iter
+    (fun name ->
+      let entry = B.find name in
+      let program =
+        P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
+      in
+      let reference = P.run ~engine:`Reference program in
+      (* Install the program's (still empty) trace state before either
+         domain starts, so that both run on it. *)
+      let ts =
+        match (fst (P.load program)).Machine.tstate with
+        | Some ts -> ts
+        | None -> Alcotest.fail "load attached no trace state"
+      in
+      let ready = Atomic.make 0 in
+      List.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              (* Start together, so that formation overlaps. *)
+              Atomic.incr ready;
+              while Atomic.get ready < 2 do
+                Domain.cpu_relax ()
+              done;
+              P.run ~engine:`Traced program))
+      |> List.map Domain.join
+      |> List.iteri (fun i r ->
+             check_result (Printf.sprintf "%s domain %d" name i) reference r);
+      Alcotest.(check bool)
+        (name ^ ": one shared trace state") true
+        (match program.P.tstate_cache with
+        | Some ts' -> ts' == ts
+        | None -> false);
+      Alcotest.(check bool)
+        (name ^ ": traces formed") true (ts.Machine.ts_plans <> []))
+    [ "inter"; "rat"; "comp" ]
+
+(* The fold zeroes the counts it folds.  One program run twice in a row
+   (the second run enters the traces the first formed) matches the
+   reference both times, and so does one machine resumed after
+   [Out_of_fuel] in small fuel slices, each [run] folding only its own
+   counts. *)
+let test_counts_folded_once () =
+  let entry = B.find "inter" in
+  let support = Support.with_checking Support.software in
+  let program =
+    P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
+  in
+  let reference = P.run ~engine:`Reference program in
+  check_result "first run" reference (P.run ~engine:`Traced program);
+  check_result "second run" reference (P.run ~engine:`Traced program);
+  let slice = 20_000 in
+  let m, _ = P.load ~fuel:slice program in
+  let rec go slices =
+    match Machine.run m with
+    | _ -> slices
+    | exception Machine.Out_of_fuel ->
+        m.Machine.fuel <- slice;
+        go (slices + 1)
+  in
+  let slices = go 1 in
+  Alcotest.(check bool) "several slices" true (slices > 10);
+  Alcotest.(check bool)
+    "sliced run: all stats counters" true
+    (Stats.equal reference.P.stats (Machine.stats m))
+
+(* The sparse delta round trip: folding [Fuse.compress a] into a zeroed
+   [Stats.t] with a count of +1 reproduces the dense accumulator [a]
+   exactly, its pairs are in ascending slot order with [kind_end] just
+   past the kind pairs, a count of -1 (an entry undone by a side exit)
+   then returns to zero, and a count of 3 triples it.  Checked on random
+   accumulators and on the single unit of every instruction of every
+   registry image. *)
 let check_round_trip name (a : Fuse.acc) =
   let d = Fuse.compress a in
   let kind_end = d.(4) in
@@ -942,7 +1018,7 @@ let check_round_trip name (a : Fuse.acc) =
     && ascending 5 kind_end (Array.length a.Fuse.a_kind)
     && ascending kind_end n (Array.length a.Fuse.a_klass));
   let s = Stats.create () in
-  Fuse.apply_fn d s;
+  Machine.fold_delta s d 1;
   let same =
     s.Stats.cycles = a.Fuse.a_cycles
     && s.Stats.insns = a.Fuse.a_insns
@@ -952,11 +1028,18 @@ let check_round_trip name (a : Fuse.acc) =
     && s.Stats.klass_insns = a.Fuse.a_klass
     && s.Stats.traps = 0 && s.Stats.trap_cycles = 0
   in
-  Alcotest.(check bool) (name ^ ": apply reproduces the accumulator") true same;
-  Fuse.delta_undo s d;
+  Alcotest.(check bool) (name ^ ": fold reproduces the accumulator") true same;
+  Machine.fold_delta s d (-1);
   Alcotest.(check bool)
     (name ^ ": undo returns to zero") true
-    (Stats.equal s (Stats.create ()))
+    (Stats.equal s (Stats.create ()));
+  Machine.fold_delta s d 3;
+  Alcotest.(check bool)
+    (name ^ ": a count multiplies the delta") true
+    (s.Stats.cycles = 3 * a.Fuse.a_cycles
+    && s.Stats.squashed = 3 * a.Fuse.a_squashed
+    && s.Stats.kind_cycles = Array.map (( * ) 3) a.Fuse.a_kind
+    && s.Stats.klass_insns = Array.map (( * ) 3) a.Fuse.a_klass)
 
 let test_compress_round_trip () =
   let rng = Random.State.make [| 19 |] in
@@ -1065,6 +1148,10 @@ let suite =
             test_formation_determinism;
           Alcotest.test_case "compress-round-trip" `Quick
             test_compress_round_trip;
+          Alcotest.test_case "shared-trace-state" `Quick
+            test_shared_trace_state;
+          Alcotest.test_case "counts-folded-once" `Quick
+            test_counts_folded_once;
           Alcotest.test_case "formation-alloc-budget" `Quick
             test_formation_alloc_budget;
           Alcotest.test_case "pool-jobs" `Quick test_pool_jobs_agree;
