@@ -16,8 +16,11 @@ check: build
 	dune runtest
 	dune exec bin/tagsim_cli.exe -- experiments --only table3 --jobs 2
 
+# The one benchmark harness (tagbench/README.md): the cold --jobs 1
+# planner fan-out, one untraced pass and one traced pass with the
+# per-layer split.  --trace 0 gives medians of the end-to-end metrics.
 bench: build
-	dune exec bench/main.exe
+	python3 tagbench/run.py --workload cold-j1 --trace 1
 
 experiments: build
 	dune exec bin/tagsim_cli.exe -- experiments --jobs 0

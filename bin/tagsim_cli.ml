@@ -398,7 +398,12 @@ let print_run_summary () =
     (float_of_int tt.Tagsim.Machine.tt_form_words /. 1e6)
     tt.Tagsim.Machine.tt_entries
     (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
-    (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired)
+    (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
+  let insns = tt.Tagsim.Machine.tt_insns in
+  Fmt.epr "retired: %d instructions in traced runs, %.0f MIPS over simulate@."
+    insns
+    (if simulate_s > 0.0 then float_of_int insns /. simulate_s /. 1e6
+     else 0.0)
 
 let experiments_cmd =
   let module Spec = Tagsim.Analysis.Spec in

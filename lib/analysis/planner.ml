@@ -11,7 +11,7 @@ module Machine = Tagsim_sim.Machine
 module Registry = Tagsim_programs.Registry
 
 (* The reproduction's artifacts, in the paper-output order of
-   [tagsim experiments] and [bench/main.exe]. *)
+   [tagsim experiments]. *)
 let artifacts : Spec.artifact list =
   [
     Table1.artifact;

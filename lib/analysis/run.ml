@@ -66,9 +66,6 @@ let frontend_of (entry : Registry.entry) =
           Hashtbl.replace frontends k fe;
           fe)
 
-let reset_frontends () =
-  Mutex.protect frontend_mutex (fun () -> Hashtbl.reset frontends)
-
 (* Count of actual simulations performed (memo-cache misses), for tests
    that assert the planner simulates each distinct configuration exactly
    once.  Under concurrent workers a configuration may be simulated

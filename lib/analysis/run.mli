@@ -41,9 +41,6 @@ type config = {
     {!Cache}'s and is untouched). *)
 val clear_cache : unit -> unit
 
-(** Drop the shared compiler front ends (cold-run benchmarking). *)
-val reset_frontends : unit -> unit
-
 (** The persistent-store key of a configuration: engine-agnostic
     content-addressed digest (see {!Cache.key}). *)
 val cache_key : config -> string

@@ -395,6 +395,7 @@ let abort_message code =
   else if code = Machine.err_type then "type error"
   else if code = Machine.err_bounds then "bounds error"
   else if code = Machine.err_div0 then "division by zero"
+  else if code = Machine.err_stack then "stack overflow"
   else Printf.sprintf "abort %d" code
 
 (* The retired plan store's key, as a constant for tagbench/. *)
@@ -425,6 +426,7 @@ let load ?fuel ?(engine = `Traced) t =
   poke "lay$hp_init" map.L.heap_a;
   poke "lay$hl_init" (map.L.heap_a + map.L.semi_bytes - L.heap_slack);
   poke L.l_gc_cur map.L.heap_a;
+  Machine.set_stack_limit m map.L.stack_base;
   if t.support.Support.hw_generic_arith then
     Machine.set_gen_handlers m
       ~add:(Image.code_address t.image L.l_gadd_trap)

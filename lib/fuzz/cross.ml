@@ -292,10 +292,13 @@ let check_cell ~fuel m ~scheme ~support source : string option * bool =
      checked semantics the reference interpreter implements — except
      that the machine's heap is bounded and the host's is not.  So a
      heap overflow at [Gen.sizes] that disagrees with the host is
-     re-run with [roomy] semispaces, and that outcome must agree. *)
+     re-run with [roomy] semispaces, and that outcome must agree.  The
+     machine's stack is bounded too, and the host's recursion only ends
+     when its fuel does, so a stack overflow is not compared. *)
   if !diverged = None && support.Support.runtime_checking then begin
     match List.assoc_opt `None !level_outcome with
-    | Some ((Value _ | Abort _) as machine) -> (
+    | Some ((Value _ | Abort _) as machine)
+      when machine <> Abort "stack overflow" -> (
         let host =
           match Oracle.run ~scheme source with
           | Oracle.Value v -> Some (Value (Oracle.to_string v))
@@ -320,8 +323,8 @@ let check_cell ~fuel m ~scheme ~support source : string option * bool =
                 (outcome_to_string machine) (outcome_to_string host)
         | _ -> ())
     | _ ->
-        (* compile rejections (expression depth), timeouts and wild
-           faults have no host counterpart *)
+        (* compile rejections (expression depth), timeouts, stack
+           overflows and wild faults have no host counterpart *)
         ()
   end;
   (!diverged, !ran)

@@ -429,6 +429,45 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc)
   in
   match insn with
   | Insn.Nop -> next
+  | Insn.Alu (_, rd, _, _)
+  | Insn.Alui (_, rd, _, _)
+  | Insn.Mv (rd, _)
+    when rd = Reg.sp ->
+      (* A value computed into sp checks the stack limit.  Like a
+         division by zero, which this arm also covers ([ev] gives -1),
+         it aborts before charging, so the undo also takes back its own
+         cycles. *)
+      let c, (ev : M.t -> int) =
+        match insn with
+        | Insn.Alu (op, _, rs, rt) ->
+            let div = op = Insn.Div || op = Insn.Rem in
+            ( M.alu_cycles op,
+              fun t ->
+                let b = t.M.regs.(rt) in
+                if div && b = 0 then -1 else M.alu_eval op t.M.regs.(rs) b )
+        | Insn.Alui (op, _, rs, imm) ->
+            let b = Word.of_int imm in
+            if (op = Insn.Div || op = Insn.Rem) && imm = 0 then
+              (M.alu_cycles op, fun _ -> -1)
+            else (M.alu_cycles op, fun t -> M.alu_eval op t.M.regs.(rs) b)
+        | Insn.Mv (_, rs) -> (1, fun t -> t.M.regs.(rs))
+        | _ -> assert false
+      in
+      let si = Stats.slot e.Image.annot in
+      acc_charge suffix si c;
+      let u = snap suffix in
+      acc_charge suffix si (-c);
+      fun t ->
+        let v = ev t in
+        if v >= t.M.stack_limit then begin
+          t.M.regs.(Reg.sp) <- v;
+          next t
+        end
+        else begin
+          exit_early u t;
+          M.abort t (if v < 0 then M.err_div0 else M.err_stack);
+          stopped
+        end
   | Insn.Alu (((Insn.Div | Insn.Rem) as op), rd, rs, rt) ->
       (* The charge is pre-summed for the success path; a division by
          zero aborts before charging, so the undo of the suffix also
@@ -595,6 +634,23 @@ let compile_op (hw : M.hw) (e : Image.entry) ~pc:p ~(suffix : acc)
       else fun t ->
         t.M.regs.(rd) <- t.M.regs.(rs);
         next t
+  | Insn.Ld (mode, rd, rs, off) when rd = Reg.sp ->
+      (* A load into sp also checks the stack limit; its issue stands
+         there too. *)
+      let u = snap suffix in
+      let eff = effective_fn hw e p mode off ~fault:(exit_early u) in
+      fun t ->
+        let addr = eff t t.M.regs.(rs) in
+        let v = if addr < 0 then -1 else M.read_word t addr in
+        if v >= t.M.stack_limit then begin
+          t.M.regs.(rd) <- v;
+          next t
+        end
+        else begin
+          exit_early u t;
+          M.abort t (if addr < 0 then M.err_type else M.err_stack);
+          stopped
+        end
   | Insn.Ld (mode, rd, rs, off) ->
       (* A type trap aborts and a memory fault raises; either way the
          load's own issue stands and only the suffix is undone. *)

@@ -81,6 +81,9 @@ type t = {
   mutable trap_dest : int; (* destination register of a trapped insn *)
   mutable gen_add_handler : int; (* code address, -1 = none *)
   mutable gen_sub_handler : int;
+  mutable stack_limit : int;
+      (* lowest legal sp: an instruction that would write a smaller
+         value to sp aborts with [err_stack] (0 = no limit) *)
   stats : Stats.t;
   mutable outcome : outcome option;
   mutable fuel : int;
@@ -160,6 +163,7 @@ let err_type = 1
 let err_bounds = 2
 let err_mem = 3
 let err_div0 = 4
+let err_stack = 5
 let err_user_base = 16 (* Trap n aborts with code err_user_base + n *)
 
 (* [n] doubled until it covers [words] words, capped at [limit]: the
@@ -194,6 +198,7 @@ let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
     trap_dest = 0;
     gen_add_handler = -1;
     gen_sub_handler = -1;
+    stack_limit = 0;
     stats = Stats.create ();
     outcome = None;
     fuel;
@@ -205,6 +210,8 @@ let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
 let set_gen_handlers t ~add ~sub =
   t.gen_add_handler <- add;
   t.gen_sub_handler <- sub
+
+let set_stack_limit t limit = t.stack_limit <- limit
 
 let reg t r = t.regs.(r)
 let pc t = t.pc
@@ -317,6 +324,18 @@ let interlock_check t (insn : int Insn.t) =
 
 let charge t (e : Image.entry) c = Stats.charge t.stats e.Image.annot c
 
+(* Write the computed value [v] to [rd] at a charge of [c] cycles,
+   unless it would move sp below the stack limit: that aborts before the
+   charge, as a division by zero does, so a stack overflow costs no
+   simulated cycles.  A constant ([Li], [La]) is not checked: start-up
+   points sp at a data label before it loads the stack top. *)
+let set_dest t e rd v c =
+  if rd = Reg.sp && Word.of_int v < t.stack_limit then abort t err_stack
+  else begin
+    charge t e c;
+    set_reg t rd v
+  end
+
 (* Execute a non-control instruction (possibly sitting in a delay slot). *)
 let exec_simple t (e : Image.entry) =
   let insn = e.Image.insn in
@@ -326,35 +345,34 @@ let exec_simple t (e : Image.entry) =
   | Insn.Alu (op, rd, rs, rt) ->
       let b = t.regs.(rt) in
       if (op = Insn.Div || op = Insn.Rem) && b = 0 then abort t err_div0
-      else begin
-        charge t e (alu_cycles op);
-        set_reg t rd (alu_eval op t.regs.(rs) b)
-      end
+      else set_dest t e rd (alu_eval op t.regs.(rs) b) (alu_cycles op)
   | Insn.Alui (op, rd, rs, imm) ->
       if (op = Insn.Div || op = Insn.Rem) && imm = 0 then abort t err_div0
-      else begin
-        charge t e (alu_cycles op);
-        set_reg t rd (alu_eval op t.regs.(rs) (Word.of_int imm))
-      end
+      else
+        set_dest t e rd
+          (alu_eval op t.regs.(rs) (Word.of_int imm))
+          (alu_cycles op)
   | Insn.Li (rd, imm) ->
       charge t e (Word.imm_cycles imm);
       set_reg t rd imm
   | Insn.La (rd, addr) ->
       charge t e (Word.imm_cycles addr);
       set_reg t rd addr
-  | Insn.Mv (rd, rs) ->
-      charge t e 1;
-      set_reg t rd t.regs.(rs)
+  | Insn.Mv (rd, rs) -> set_dest t e rd t.regs.(rs) 1
   | Insn.Ld (mode, rd, rs, off) ->
       charge t e 1;
       let addr =
         effective t mode t.regs.(rs) off ~speculative:e.Image.speculative
       in
       if addr < 0 then abort t err_type
-      else begin
-        set_reg t rd (read_word t addr);
-        t.pending_load <- rd
-      end
+      else
+        (* The load's issue stands, as for its type trap. *)
+        let v = read_word t addr in
+        if rd = Reg.sp && v < t.stack_limit then abort t err_stack
+        else begin
+          set_reg t rd v;
+          t.pending_load <- rd
+        end
   | Insn.St (mode, rs, rt, off) ->
       charge t e 1;
       let addr =
@@ -508,8 +526,9 @@ type trace_totals = {
   tt_formed : int;
   tt_entries : int;
   tt_side_exits : int;
-  tt_in_trace : int; (* instructions retired inside traces *)
-  tt_retired : int; (* instructions retired by traced runs, total *)
+  tt_in_trace : int; (* retirements inside traces *)
+  tt_retired : int; (* retirements (fuel units) by traced runs, total *)
+  tt_insns : int; (* instructions executed by traced runs (Stats.insns) *)
   tt_form_s : float; (* wall time inside [Trace.form], summed over domains *)
   tt_form_words : int; (* minor-heap words allocated inside [Trace.form] *)
 }
@@ -519,6 +538,7 @@ let tt_entries_a = Atomic.make 0
 let tt_side_exits_a = Atomic.make 0
 let tt_in_trace_a = Atomic.make 0
 let tt_retired_a = Atomic.make 0
+let tt_insns_a = Atomic.make 0
 let tt_form_ns_a = Atomic.make 0
 let tt_form_words_a = Atomic.make 0
 
@@ -534,6 +554,7 @@ let trace_counters () =
     tt_side_exits = Atomic.get tt_side_exits_a;
     tt_in_trace = Atomic.get tt_in_trace_a;
     tt_retired = Atomic.get tt_retired_a;
+    tt_insns = Atomic.get tt_insns_a;
     tt_form_s = float_of_int (Atomic.get tt_form_ns_a) *. 1e-9;
     tt_form_words = Atomic.get tt_form_words_a;
   }
@@ -544,6 +565,7 @@ let reset_trace_counters () =
   Atomic.set tt_side_exits_a 0;
   Atomic.set tt_in_trace_a 0;
   Atomic.set tt_retired_a 0;
+  Atomic.set tt_insns_a 0;
   Atomic.set tt_form_ns_a 0;
   Atomic.set tt_form_words_a 0
 
@@ -626,7 +648,7 @@ let run_traced t ts =
   and cnt2 = ts.ts_cnt2 in
   let threshold = ts.ts_threshold in
   let entries = ref 0 and side_exits = ref 0 and in_trace = ref 0 in
-  let fuel0 = t.fuel in
+  let fuel0 = t.fuel and insns0 = t.stats.Stats.insns in
   (* Two-entry successor profile with decay: a slot is free when its
      count has decayed to zero, so a shifting dominant successor (think
      an indirect jump) can eventually displace a stale one. *)
@@ -740,7 +762,8 @@ let run_traced t ts =
         ignore (Atomic.fetch_and_add tt_side_exits_a !side_exits);
         ignore (Atomic.fetch_and_add tt_in_trace_a !in_trace)
       end;
-      ignore (Atomic.fetch_and_add tt_retired_a (fuel0 - t.fuel)))
+      ignore (Atomic.fetch_and_add tt_retired_a (fuel0 - t.fuel));
+      ignore (Atomic.fetch_and_add tt_insns_a (t.stats.Stats.insns - insns0)))
     dispatch
 
 let run t =

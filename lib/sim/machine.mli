@@ -79,6 +79,7 @@ type t = {
   mutable trap_dest : int; (* destination register of a trapped insn *)
   mutable gen_add_handler : int; (* code address, -1 = none *)
   mutable gen_sub_handler : int;
+  mutable stack_limit : int; (* lowest legal sp; 0 = no limit *)
   stats : Stats.t;
   mutable outcome : outcome option;
   mutable fuel : int;
@@ -151,6 +152,9 @@ val err_bounds : int
 val err_mem : int
 val err_div0 : int
 
+(** An instruction would have written sp below the stack limit. *)
+val err_stack : int
+
 (** [Trap n] aborts with code [err_user_base + n]. *)
 val err_user_base : int
 
@@ -162,6 +166,11 @@ val create : ?fuel:int -> hw:hw -> Image.t -> t
 
 (** Register the trap handlers for hardware generic arithmetic. *)
 val set_gen_handlers : t -> add:int -> sub:int -> unit
+
+(** Set the lowest legal sp.  An instruction that would write a smaller
+    value to sp aborts with {!err_stack} instead, uncharged, in both
+    engines. *)
+val set_stack_limit : t -> int -> unit
 
 val reg : t -> int -> int
 
@@ -226,8 +235,12 @@ type trace_totals = {
   tt_formed : int;  (** superblock traces formed *)
   tt_entries : int;  (** trace entries *)
   tt_side_exits : int;  (** trace exits off the expected path *)
-  tt_in_trace : int;  (** instructions retired inside traces *)
-  tt_retired : int;  (** instructions retired by traced runs, total *)
+  tt_in_trace : int;  (** retirements inside traces *)
+  tt_retired : int;
+      (** retirements (fuel units) by traced runs, total: a control
+          instruction retires with its delay slots *)
+  tt_insns : int;
+      (** instructions executed by traced runs, as {!Stats} counts them *)
   tt_form_s : float;
       (** wall time spent forming traces (growth and compilation, failed
           attempts included), summed over domains *)

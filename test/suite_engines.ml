@@ -677,6 +677,92 @@ let branch_pc image =
 let int_item = Scheme.encode_int scheme
 let gen_inc = Insn.Add_gen (Reg.t5, Reg.t5, Reg.t4)
 
+(* A recursion hot enough to form traces runs sp down to the stack
+   limit: the write that would pass it aborts with [err_stack], inside a
+   trace, uncharged, on every leg.  The frame push sits either in the
+   straight line or in the delay slots of the recursive call. *)
+let test_trace_stack_overflow () =
+  let base = 65536 and frames = 300 in
+  let setup m =
+    Machine.set_reg m Reg.sp (base + (8 * frames));
+    Machine.set_stack_limit m base
+  in
+  let push = Insn.Alui (Insn.Add, Reg.sp, Reg.sp, -8) in
+  let save = Insn.St (Insn.Plain, Reg.sp, Reg.ra, 0) in
+  let recursion ~in_slots =
+    let image =
+      assemble (fun b ->
+          Buf.emit b (Insn.Li (Reg.t0, 0));
+          Buf.emit b (Insn.Jal "f");
+          Buf.emit b (Insn.Mv (Reg.v0, Reg.t0));
+          Buf.emit b Insn.Halt;
+          Buf.label b "f";
+          Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+          if not in_slots then begin
+            Buf.emit b push;
+            Buf.emit b save
+          end;
+          Buf.label b "call";
+          Buf.emit b (Insn.Jal "f");
+          Buf.emit b (Insn.Ld (Insn.Plain, Reg.ra, Reg.sp, 0));
+          Buf.emit b (Insn.Alui (Insn.Add, Reg.sp, Reg.sp, 8));
+          Buf.emit b (Insn.Jr Reg.ra))
+    in
+    if not in_slots then image
+    else
+      let call = Image.code_address image "call" in
+      patch image [ (call + 1, push); (call + 2, save) ]
+  in
+  List.iter
+    (fun (name, in_slots) ->
+      let tt0 = Machine.trace_counters () in
+      let r = check_three name ~threshold:2 ~setup (recursion ~in_slots) in
+      expect_outcome name (Printf.sprintf "aborted %d" Machine.err_stack) r;
+      let tt1 = Machine.trace_counters () in
+      Alcotest.(check bool) (name ^ ": ran in traces") true
+        (tt1.Machine.tt_in_trace > tt0.Machine.tt_in_trace))
+    [ ("stack-overflow-line", false); ("stack-overflow-slot", true) ]
+
+(* A fuel sweep through an indirect-jump side exit.  A hot loop calls
+   [f] from two sites, so the trace through [f]'s [jr ra] guards on one
+   return address and side-exits at the other, with later segments to
+   refund.  Under every budget from 1 to past halting, the reference and
+   the threshold-2 traced leg must stop at the same point. *)
+let test_trace_fuel_sweep () =
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t1, 12));
+        Buf.emit b (Insn.Li (Reg.t2, 0));
+        Buf.label b "loop";
+        Buf.emit b (Insn.Jal "f");
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (Insn.Jal "f");
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (Insn.Jal "f");
+        Buf.emit b (branch Insn.Lt Reg.t0 Reg.t1 "loop");
+        Buf.emit b (Insn.Mv (Reg.v0, Reg.t2));
+        Buf.emit b Insn.Halt;
+        Buf.label b "f";
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t2, Reg.t2, 1));
+        Buf.emit b (Insn.Jr Reg.ra))
+  in
+  let rec sweep fuel halted =
+    let name = Printf.sprintf "fuel-sweep %d" fuel in
+    let ro, rs = run_raw ~fuel image `Reference in
+    let ho, hs = run_raw ~fuel ~threshold:2 image `Traced in
+    Alcotest.(check string) (name ^ ": outcome") (outcome_str ro)
+      (outcome_str ho);
+    Alcotest.(check bool) (name ^ ": stats") true (Stats.equal rs hs);
+    let halted = if ro = `Fuel then 0 else halted + 1 in
+    if halted < 3 then sweep (fuel + 1) halted
+  in
+  let tt0 = Machine.trace_counters () in
+  sweep 1 0;
+  let tt1 = Machine.trace_counters () in
+  Alcotest.(check bool) "fuel-sweep: side exits taken" true
+    (tt1.Machine.tt_side_exits > tt0.Machine.tt_side_exits)
+
 (* A hot loop whose back branch holds a non-trapping generic add in its
    first slot and a load in its second, read by the loop's first
    instruction (an interlock across the slots into the next block); the
@@ -1136,6 +1222,9 @@ let suite =
             test_trace_cross_interlock;
           Alcotest.test_case "trace-fuel" `Quick test_trace_fuel;
           Alcotest.test_case "trace-mem-fault" `Quick test_trace_mem_fault;
+          Alcotest.test_case "trace-stack-overflow" `Quick
+            test_trace_stack_overflow;
+          Alcotest.test_case "trace-fuel-sweep" `Quick test_trace_fuel_sweep;
           Alcotest.test_case "trace-attach-idempotent" `Quick
             test_trace_attach_idempotent;
           Alcotest.test_case "slot-gen-loop" `Quick test_slot_gen_loop;

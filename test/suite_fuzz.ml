@@ -240,11 +240,10 @@ let cx_funcall_zero_for_one = "(de h0 (x) (funcall (quote h0)))\n(de main () (h0
 let cx_funcall_one_for_zero = "(de h0 (x))\n(de main () (funcall (quote h0)))"
 let cx_mapcar_arity = "(de h0 ())\n(de main () (mapcar (quote h0) (list nil)))"
 
-(* Unbounded recursion overruns the stack into a wild fault; what
-   happens after the overrun is image-layout-dependent, so the fault
-   outcome is exempt from cross-image comparison (but still compared
-   exactly engine-to-engine).  Shrunk from a decreasing-recursion
-   helper whose decrement the shrinker deleted (seed 42). *)
+(* Unbounded recursion used to overrun the stack into a wild fault; it
+   now aborts with "stack overflow" when sp would pass the stack base.
+   Shrunk from a decreasing-recursion helper whose decrement the
+   shrinker deleted (seed 42). *)
 let cx_stack_overrun = "(de h0 (x) (h0 x))\n(de main () (let ((y (h0 nil))) (get y y)))"
 
 (* On hardware parallel-checking rows (pc-all), a failed tag check
@@ -318,6 +317,29 @@ let test_heap_overflow_still_diverges () =
         d.Cross.d_detail
   | Cross.Agree | Cross.Rejected -> Alcotest.fail "overflow waived"
 
+(* Unbounded recursion whose overrun wrote over the symbol table before
+   the stack guard existed, so opt:none aborted with an arithmetic error
+   and opt:checks with a type error.  Both now stop at the stack base.
+   Shrunk from seed 47, program 31, on the smoke matrix. *)
+let cx_stack_overflow =
+  "(de h0 (nil p1) (max (funcall (quote abs) p1) (h0 nil -33)))\n\
+   (de main () (let ((gi (if (pairp (quote (0))) (h0 0 0))) (nil (quote (0 \
+   (0 0))))) setq gint (let ((li (funcall (quote abs) (* -9 33554430))) (lv \
+   (mkvect 6))) (+ gi (if (numberp gany) gany li)))))"
+
+let test_stack_overflow_rechecked () =
+  List.iter
+    (fun opt ->
+      let p =
+        Program.compile ~opt ~sizes:Gen.sizes ~scheme:Scheme.high5 ~support:chk
+          cx_stack_overflow
+      in
+      Alcotest.(check (option string))
+        "aborts at the stack base" (Some "stack overflow")
+        (Program.run p).Program.abort)
+    [ `None; `Checks ];
+  agree_on ~matrix:Cross.smoke "stack overflow" cx_stack_overflow ()
+
 let test_arity_abort_message () =
   let p =
     Program.compile ~sizes:Gen.sizes ~scheme:Scheme.high5 ~support:chk
@@ -376,6 +398,8 @@ let suite =
           test_heap_overflow_rechecked;
         Alcotest.test_case "heap-overflow-still-diverges" `Quick
           test_heap_overflow_still_diverges;
+        Alcotest.test_case "regression-stack-overflow" `Quick
+          test_stack_overflow_rechecked;
         Alcotest.test_case "arity-abort-message" `Quick
           test_arity_abort_message;
         Alcotest.test_case "hw-type-error-message" `Quick
