@@ -286,9 +286,10 @@ let fuzz_cmd =
               "; tagsim fuzz counterexample\n\
                ; reproduce: tagsim fuzz --seed %d --count %d\n\
                ; divergence: %s\n\
-               ; shrunk (%d nodes):\n%s\n\n\
+               ; %s (%d nodes):\n%s\n\n\
                ; original:\n%s\n"
               c.Driver.cx_seed (c.Driver.cx_index + 1) c.Driver.cx_detail
+              (if c.Driver.cx_minimized then "shrunk" else "not shrunk")
               c.Driver.cx_nodes c.Driver.cx_shrunk
               (String.concat "\n"
                  (List.map (fun l -> "; " ^ l)
@@ -463,11 +464,13 @@ let experiments_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
             "Directory of the persistent measurement cache, one \
-             $(b,.entry) file per configuration (created on demand; \
-             entries are content-addressed and re-run invariant, so the \
-             store can be kept across invocations and branches).  \
-             Nothing else is written: compiled objects and trace plans \
-             live in the process only.")
+             $(b,.entry) file per configuration (created on demand).  \
+             Entries are keyed on the configuration and on a digest of \
+             the measured code computed at build time, so the store can \
+             be kept across invocations and branches: an entry made by \
+             other code is a miss, and stays on disk until $(b,make \
+             clean-cache).  Nothing else is written: compiled objects \
+             and trace plans live in the process only.")
   in
   let no_cache =
     Arg.(

@@ -13,26 +13,32 @@
       value, heap sizing);
     - the tag scheme (by name) and the support configuration (by its
       injective {!Support.describe} flag string);
-    - the delay-slot scheduler configuration;
-    - a digest of the prelude sources (edits to prelude Lisp invalidate
-      automatically);
-    - the {!version} stamp.
+    - the delay-slot scheduler configuration and the optimization level;
+    - the code digest {!Code_digest.v}.
 
     Keys are engine-agnostic: all simulator engines are bit-identical
     (the differential suite enforces it), so a measurement produced by
     one engine is valid for every other.
 
-    {b Version stamp.} [version] must be bumped on any change that can
-    alter a measurement without changing the key's other inputs: code
-    generation, runtime assembly, scheme semantics, the cost model, or
-    the {!Stats.t} layout.  It is the only stamp such a change bumps:
-    every compile builds its objects afresh and nothing but
-    measurements is persisted, so no object can outlive the code
-    generator that built it.
+    {b Code digest.} [Code_digest.v] is the MD5 of the source of every
+    module a measurement can depend on: the [lisp], [mipsx], [asm],
+    [tags], [runtime], [compiler], [sim] and [programs] libraries, plus
+    [run.ml] and this file.  The build computes it (see [dune]), so any
+    edit to code generation, the runtime, the prelude, scheme
+    semantics, the cost model or this file's format changes every key
+    and every header: entries made by another build are misses.  They
+    stay on disk, about 400 bytes each, 280 per build, until
+    [make clean-cache].  An edit elsewhere (a table's rendering, the
+    CLI) keeps the digest, and with it every entry.
 
-    {b Robustness.} Entries live in the [cache] namespace of
-    {!Tagsim_store.Store}: every damaged, stale or misplaced entry is a
-    miss (recompute). *)
+    {b Entries.} One file [<dir>/<key>.entry] per key, starting with the
+    header line [tagsim-store cache <code digest> <key> <md5 of body>].
+    A lookup returns the body only when all of it matches, so a
+    missing, unreadable, truncated, bit-flipped, stale or misplaced file
+    is a counted miss, never a hit with other bytes.  Writes go to a
+    unique temp file renamed over the entry, so concurrent processes and
+    domains never expose a partial file; a failed write is dropped
+    silently. *)
 
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
@@ -40,35 +46,24 @@ module Support = Tagsim_tags.Support
 module Sched = Tagsim_asm.Sched
 module Registry = Tagsim_programs.Registry
 module Program = Tagsim_compiler.Program
-module Prelude = Tagsim_compiler.Prelude
-module Store = Tagsim_store.Store
 
-(* Bump on any measurement-affecting change: codegen, runtime, scheme
-   semantics, cost model, or Stats layout (see the header comment).
-   2: the optimization level joined the key and the payload meta line
-   gained the eliminated-check count.
-   3: the funcall path gained a dynamic arity check.
-   4: checked multiplies verify their product by dividing it back. *)
-let version = "4"
+(* --- The store.  Configure it before any fan-out starts: workers
+   only read [on] and [root]. --- *)
 
-let namespace =
-  Store.create ~name:"cache" ~ext:"entry" ~version ~dir:"_tagsim_cache"
-
-let enabled () = Store.enabled namespace
-let set_enabled = Store.set_enabled namespace
-let dir () = Store.dir namespace
-let set_dir = Store.set_dir namespace
-let counters () = Store.counters namespace
-let reset_counters () = Store.reset_counters namespace
+let on = ref false
+let root = ref "_tagsim_cache"
+let hits = Atomic.make 0
+let misses = Atomic.make 0
+let writes = Atomic.make 0
+let enabled () = !on
+let set_enabled b = on := b
+let dir () = !root
+let set_dir d = root := d
+let counters () = (Atomic.get hits, Atomic.get misses, Atomic.get writes)
+let reset_counters () =
+  List.iter (fun c -> Atomic.set c 0) [ hits; misses; writes ]
 
 (* --- Keys. --- *)
-
-let prelude_digest =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          (List.concat_map (fun (name, src) -> [ name; src ])
-             Prelude.functions)))
 
 let sched_token (s : Sched.config) =
   Printf.sprintf "%b/%b/%b" s.Sched.hoist s.Sched.fill_unlikely
@@ -76,17 +71,20 @@ let sched_token (s : Sched.config) =
 
 let key ?(sched = Sched.default) ?(opt = `None) ~scheme ~support
     (entry : Registry.entry) =
-  Store.key namespace
-    [
-      prelude_digest;
-      Registry.fingerprint entry;
-      scheme.Scheme.name;
-      Support.describe support;
-      sched_token sched;
-      Tagsim_compiler.Tir.opt_token opt;
-    ]
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [
+            "tagsim-cache";
+            Code_digest.v;
+            Registry.fingerprint entry;
+            scheme.Scheme.name;
+            Support.describe support;
+            sched_token sched;
+            Tagsim_compiler.Tir.opt_token opt;
+          ]))
 
-let entry_path = Store.path namespace
+let entry_path k = Filename.concat !root (k ^ ".entry")
 
 (* --- Payload (de)serialisation. --- *)
 
@@ -180,6 +178,70 @@ let parse (text : string) : payload =
       }
   | _ -> raise Malformed
 
-let load k = Store.load namespace k parse
-let store k p = Store.store namespace k serialize p
-let wipe () = Store.wipe namespace
+(* --- Entry framing. --- *)
+
+(* The header line up to, not including, the body digest. *)
+let prefix k = Printf.sprintf "tagsim-store cache %s %s " Code_digest.v k
+
+(* The body of [k]'s file if it is a well-formed entry for [k]: the
+   header line, then a body with the digest the header names. *)
+let read_body k =
+  In_channel.with_open_bin (entry_path k) (fun ic ->
+      let header = input_line ic in
+      (* [input_line] also returns an unterminated last line. *)
+      if pos_in ic <> String.length header + 1 then None
+      else
+        let body = really_input_string ic (in_channel_length ic - pos_in ic) in
+        if header = prefix k ^ Digest.to_hex (Digest.string body) then
+          Some body
+        else None)
+
+let load k =
+  if not !on then None
+  else
+    let result =
+      match read_body k with
+      | Some body -> ( try Some (parse body) with _ -> None)
+      | None -> None
+      | exception _ -> None
+    in
+    Atomic.incr (if Option.is_some result then hits else misses);
+    result
+
+let rec mkdir_p d =
+  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Sys.mkdir d 0o777 with Sys_error _ -> ()
+  end
+
+let store k p =
+  if !on then begin
+    (* Unique per process and domain; ends in [.entry] so that [wipe]
+       finds one a kill left between the write and the rename. *)
+    let tmp =
+      Filename.concat !root
+        (Printf.sprintf "%s.tmp.%d.%d.entry" k (Unix.getpid ())
+           (Domain.self () :> int))
+    in
+    try
+      let body = serialize p in
+      mkdir_p !root;
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc (prefix k);
+          output_string oc (Digest.to_hex (Digest.string body));
+          output_char oc '\n';
+          output_string oc body);
+      Sys.rename tmp (entry_path k);
+      Atomic.incr writes
+    with _ -> ( try Sys.remove tmp with Sys_error _ -> ())
+  end
+
+let wipe () =
+  match Sys.readdir !root with
+  | exception Sys_error _ -> ()
+  | names ->
+      Array.iter
+        (fun name ->
+          if Filename.check_suffix name ".entry" then
+            try Sys.remove (Filename.concat !root name) with Sys_error _ -> ())
+        names

@@ -1,9 +1,9 @@
 (** The persistent (L2) measurement cache: a content-addressed on-disk
     store of serialized measurements, keyed by a digest of the program
-    content, the tag-scheme/support/scheduler configuration, the prelude
-    sources and the {!version} stamp.  Keys are engine-agnostic (all
-    simulator engines are bit-identical).  See the implementation
-    header for the full contract. *)
+    content, the tag-scheme/support/scheduler configuration and the
+    code digest the build computes over the measured code.  Keys are
+    engine-agnostic (all simulator engines are bit-identical).  See the
+    implementation header for the file format and the full contract. *)
 
 module Stats := Tagsim_sim.Stats
 module Scheme := Tagsim_tags.Scheme
@@ -12,24 +12,22 @@ module Sched := Tagsim_asm.Sched
 module Registry := Tagsim_programs.Registry
 module Program := Tagsim_compiler.Program
 
-(** The cache format/semantics stamp.  Bump it whenever code generation,
-    the runtime, scheme semantics, the cost model or the [Stats] layout
-    change: any of those alters measurements without changing the key's
-    other inputs.  Objects are not persisted, so this is the only stamp
-    a code-generation change bumps. *)
-val version : string
+(** {1 Store} Files [<dir>/<key>.entry], default directory
+    ["_tagsim_cache"], disabled until {!set_enabled}.  Configure before
+    any fan-out starts: workers only read these settings. *)
 
-(** {1 Store} The [cache] namespace (files [<dir>/<key>.entry],
-    default directory ["_tagsim_cache"]); the functions below delegate
-    to {!Tagsim_store.Store} on it. *)
-
-val namespace : Tagsim_store.Store.t
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 val dir : unit -> string
 val set_dir : string -> unit
+
+(** [(hits, misses, writes)] since start or {!reset_counters}. *)
 val counters : unit -> int * int * int
+
 val reset_counters : unit -> unit
+
+(** Delete every [*.entry] file in {!dir}: entries and the temp files
+    of killed writers. *)
 val wipe : unit -> unit
 
 (** On-disk path of a key's entry (tests corrupt files through this). *)
@@ -57,5 +55,10 @@ type payload = {
   p_meta : Program.meta;
 }
 
+(** [Some payload] for a well-formed entry, counting a hit; any
+    failure counts a miss.  [None], uncounted, when disabled. *)
 val load : string -> payload option
+
+(** Write the key's entry and count a write; a no-op when disabled, and
+    a failed write is dropped. *)
 val store : string -> payload -> unit

@@ -195,172 +195,99 @@ let pass_a config (input : Buf.item list) : Buf.item list =
 (* For each [Likely] branch whose two slots are no-ops, copy the first one
    or two instructions of the target block into the slots, turn the branch
    into a squashing branch, and retarget it past the copied instructions
-   (via a fresh label inserted after them). *)
+   (via a fresh label inserted after them, shared by every branch to the
+   same block).  Two sweeps: the first decides every rewrite, the second
+   emits, because a back-edge's split label lands before its branch. *)
+
+let squash lbl (insn : string Insn.t) =
+  match insn with
+  | Insn.B (b, _) -> Insn.B ({ b with Insn.squash = true }, lbl)
+  | Insn.Bi (b, _) -> Insn.Bi ({ b with Insn.bi_squash = true }, lbl)
+  | Insn.Btag (b, _) -> Insn.Btag ({ b with Insn.bt_squash = true }, lbl)
+  | other -> other
 
 let pass_b buf_fresh (items : Buf.item list) : Buf.item list =
   let arr = Array.of_list items in
   let n = Array.length arr in
-  (* Map label -> position. *)
   let pos = Hashtbl.create 64 in
   Array.iteri
     (fun i item ->
       match item with Buf.L l -> Hashtbl.replace pos l i | Buf.I _ | Buf.C _ -> ())
     arr;
-  (* How many leading instructions of the block at [i] can be copied. *)
-  let copyable_at i =
-    let rec skip_comments j =
-      if j < n then
-        match arr.(j) with
-        | Buf.C _ | Buf.L _ -> skip_comments (j + 1)
-        | Buf.I _ -> j
-      else j
-    in
-    let j = skip_comments i in
-    let ok k =
-      k < n
-      &&
-      match arr.(k) with
-      | Buf.I s ->
-          (not (Insn.is_control s.insn)) && s.insn <> Insn.Nop
-          && not s.speculative
-      | Buf.L _ | Buf.C _ -> false
-    in
-    if ok j then if ok (j + 1) then (j, 2) else (j, 1) else (j, 0)
+  let nop k =
+    k < n && match arr.(k) with Buf.I s -> s.insn = Insn.Nop | _ -> false
   in
-  (* Split labels inserted after copied instructions: (position, label). *)
-  let splits = Hashtbl.create 16 in
-  let split_label_after target count =
-    match Hashtbl.find_opt pos target with
-    | None -> None
-    | Some i ->
-        let start, avail = copyable_at i in
-        let count = min count avail in
-        if count = 0 then None
-        else
-          let key = (start, count) in
-          let lbl =
-            match Hashtbl.find_opt splits key with
-            | Some l -> l
-            | None ->
-                let l = buf_fresh "sq" in
-                Hashtbl.add splits key l;
-                l
-          in
-          let copies =
-            List.init count (fun k ->
-                match arr.(start + k) with
-                | Buf.I s -> s
-                | Buf.L _ | Buf.C _ -> assert false)
-          in
-          Some (lbl, copies)
+  let copyable k =
+    k < n
+    &&
+    match arr.(k) with
+    | Buf.I s ->
+        (not (Insn.is_control s.insn)) && s.insn <> Insn.Nop
+        && not s.speculative
+    | Buf.L _ | Buf.C _ -> false
   in
-  let rewritten =
-    Array.to_list arr
-    |> List.mapi (fun i item -> (i, item))
-    |> List.concat_map (fun (i, item) ->
-           match item with
-           | Buf.I s when branch_hint s.insn = Insn.Likely -> (
-               (* Only rewrite when both slots are no-ops. *)
-               let slots_are_noops =
-                 i + 2 < n
-                 &&
-                 match (arr.(i + 1), arr.(i + 2)) with
-                 | Buf.I s1, Buf.I s2 ->
-                     s1.insn = Insn.Nop && s2.insn = Insn.Nop
-                 | _ -> false
-               in
-               if not slots_are_noops then [ (i, item) ]
-               else
-                 match branch_target s.insn with
-                 | None -> [ (i, item) ]
-                 | Some target -> (
-                     match split_label_after target 2 with
-                     | None -> [ (i, item) ]
-                     | Some (lbl, copies) ->
-                         let squashed =
-                           match s.insn with
-                           | Insn.B (b, _) ->
-                               Insn.B ({ b with Insn.squash = true }, lbl)
-                           | Insn.Bi (b, _) ->
-                               Insn.Bi ({ b with Insn.bi_squash = true }, lbl)
-                           | Insn.Btag (b, _) ->
-                               Insn.Btag ({ b with Insn.bt_squash = true }, lbl)
-                           | other -> other
-                         in
-                         (* Replace the branch and overwrite its no-op slots
-                            with the copies (pad if only one copy). *)
-                         let slot_items =
-                           List.map (fun c -> (i, Buf.I c)) copies
-                           @
-                           if List.length copies = 1 then
-                             [
-                               ( i,
-                                 Buf.I
-                                   {
-                                     Buf.insn = Insn.Nop;
-                                     annot = slot_annot s.annot;
-                                     speculative = false;
-                                   } );
-                             ]
-                           else []
-                         in
-                         (i, Buf.I { s with Buf.insn = squashed }) :: slot_items
-                         @ [ (i, Buf.C "squash-filled") ]))
-           | _ -> [ (i, item) ])
+  let rec first_insn j =
+    match arr.(j) with
+    | (Buf.C _ | Buf.L _) when j + 1 < n -> first_insn (j + 1)
+    | Buf.C _ | Buf.L _ -> n
+    | Buf.I _ -> j
   in
-  (* Drop the original no-op slots that followed rewritten branches, and
-     insert the split labels. *)
-  let rewritten_positions = Hashtbl.create 16 in
-  List.iter
-    (fun (i, item) ->
+  (* [rewrites]: [(i, items)], latest first: the branch at [i] and its
+     two no-op slots become [items].  [splits]: [(k, label)]: [label] is
+     placed after the copied [arr.(k)].  Both are few: one per rewritten
+     back-edge. *)
+  let rewrites = ref [] and splits = ref [] in
+  Array.iteri
+    (fun i item ->
       match item with
-      | Buf.C "squash-filled" -> Hashtbl.replace rewritten_positions i ()
+      | Buf.I s
+        when branch_hint s.insn = Insn.Likely && nop (i + 1) && nop (i + 2)
+        -> (
+          match Option.bind (branch_target s.insn) (Hashtbl.find_opt pos) with
+          | None -> ()
+          | Some at ->
+              let start = first_insn at in
+              let count =
+                if not (copyable start) then 0
+                else if copyable (start + 1) then 2
+                else 1
+              in
+              if count > 0 then begin
+                let last = start + count - 1 in
+                let lbl =
+                  match List.assoc_opt last !splits with
+                  | Some l -> l
+                  | None ->
+                      let l = buf_fresh "sq" in
+                      splits := (last, l) :: !splits;
+                      l
+                in
+                let second =
+                  if count = 2 then arr.(start + 1)
+                  else
+                    Buf.I
+                      { insn = Insn.Nop; annot = slot_annot s.annot;
+                        speculative = false }
+                in
+                rewrites :=
+                  (i, [ Buf.I { s with insn = squash lbl s.insn }; arr.(start);
+                        second ])
+                  :: !rewrites
+              end)
       | _ -> ())
-    rewritten;
-  let keep =
-    List.filter_map
-      (fun (i, item) ->
-        match item with
-        | Buf.C "squash-filled" -> None
-        | _ -> Some (i, item))
-      rewritten
+    arr;
+  let rec emit i rewrites splits acc =
+    if i >= n then List.rev acc
+    else
+      match (rewrites, splits) with
+      | (j, r) :: rewrites, _ when j = i ->
+          emit (i + 3) rewrites splits (List.rev_append r acc)
+      | _, (j, l) :: splits when j = i ->
+          emit (i + 1) rewrites splits (Buf.L l :: arr.(i) :: acc)
+      | _ -> emit (i + 1) rewrites splits (arr.(i) :: acc)
   in
-  (* Remove the two no-op slot items that directly follow a rewritten
-     branch position in the original array. *)
-  let drop = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun i () ->
-      Hashtbl.replace drop (i + 1) ();
-      Hashtbl.replace drop (i + 2) ())
-    rewritten_positions;
-  let without_old_slots =
-    List.filter
-      (fun (i, item) ->
-        match item with
-        | Buf.I { insn = Insn.Nop; _ } -> not (Hashtbl.mem drop i)
-        | _ -> true)
-      keep
-  in
-  (* Insert split labels: label (start, count) goes after original index
-     start + count - 1. *)
-  let labels_after : (int, string list) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (start, count) lbl ->
-      let at = start + count - 1 in
-      let existing =
-        Option.value ~default:[] (Hashtbl.find_opt labels_after at)
-      in
-      Hashtbl.replace labels_after at (lbl :: existing))
-    splits;
-  let inserted = Hashtbl.create 16 in
-  List.concat_map
-    (fun (i, item) ->
-      match Hashtbl.find_opt labels_after i with
-      | Some lbls when not (Hashtbl.mem inserted i) ->
-          Hashtbl.replace inserted i ();
-          item :: List.map (fun l -> Buf.L l) lbls
-      | Some _ | None -> [ item ])
-    without_old_slots
+  let by_index (a, _) (b, _) = Int.compare a b in
+  emit 0 (List.rev !rewrites) (List.sort by_index !splits) []
 
 let run ?(config = default) ~fresh items =
   let a = pass_a config items in

@@ -26,7 +26,6 @@ module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Link = Tagsim_asm.Link
-module Store = Tagsim_store.Store
 module Machine = Tagsim_sim.Machine
 module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace

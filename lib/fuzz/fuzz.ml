@@ -4,6 +4,7 @@ type counterexample = {
   cx_source : string;
   cx_shrunk : string;
   cx_nodes : int;
+  cx_minimized : bool;
   cx_detail : string;
 }
 
@@ -47,14 +48,16 @@ let campaign ?check ?(log = fun _ -> ()) ?(shrink = true)
           | Cross.Agree | Cross.Rejected -> false
           | Cross.Diverge _ -> true
         in
+        let minimized = shrink && still prog in
         let shrunk =
-          if shrink && still prog then
+          if minimized then
             Shrink.minimize ~check:still ~max_attempts:shrink_budget prog
           else prog
         in
         log
-          (Fmt.str "  shrunk to %d nodes: %s" (Gen.size shrunk)
-             (Gen.render shrunk));
+          ((if minimized then Fmt.str "  shrunk to %d nodes: %s"
+            else Fmt.str "  not shrunk (%d nodes): %s")
+             (Gen.size shrunk) (Gen.render shrunk));
         cexs :=
           {
             cx_index = index;
@@ -62,6 +65,7 @@ let campaign ?check ?(log = fun _ -> ()) ?(shrink = true)
             cx_source = Gen.render prog;
             cx_shrunk = Gen.render shrunk;
             cx_nodes = Gen.size shrunk;
+            cx_minimized = minimized;
             cx_detail = d.Cross.d_detail;
           }
           :: !cexs

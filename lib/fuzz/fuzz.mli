@@ -11,8 +11,12 @@ type counterexample = {
   cx_index : int;  (** which generated program (0-based) *)
   cx_seed : int;
   cx_source : string;  (** as generated *)
-  cx_shrunk : string;  (** after delta debugging *)
-  cx_nodes : int;  (** node count of the shrunk program *)
+  cx_shrunk : string;
+      (** after delta debugging; [cx_source] when it did not run *)
+  cx_nodes : int;  (** node count of [cx_shrunk] *)
+  cx_minimized : bool;
+      (** whether delta debugging ran: not with [~shrink:false], nor
+          when the narrowed matrix does not reproduce the divergence *)
   cx_detail : string;  (** the (original) divergence *)
 }
 

@@ -103,13 +103,20 @@ let overwrite path text =
   close_out oc
 
 let body_of = Suite_store.body_of
-let write_as = Suite_store.write_as ~name:"cache" ~ext:"entry"
+let write_as = Suite_store.write_as
 
 (* A well-framed entry (valid header and digest) whose payload does not
-   parse: the payload's own field checks must reject it. *)
+   parse: the payload's own field checks must reject it.  The test's
+   own header, written over the undamaged body, must reproduce the
+   store's file byte for byte, or it would not be well framed. *)
 let test_corrupt_entry () =
   damaged_entry_recomputes "corrupt" (fun path ->
-      write_as ~version:Cache.version path "cycles banana\nend\n")
+      let original = Suite_store.read_file path
+      and stamp = Suite_store.stamp_of path in
+      write_as ~stamp path (body_of path);
+      Alcotest.(check string) "hand-built header matches the store's"
+        original (Suite_store.read_file path);
+      write_as ~stamp path "cycles banana\nend\n")
 
 let test_truncated_entry () =
   damaged_entry_recomputes "truncated" (fun path ->
@@ -119,15 +126,15 @@ let test_truncated_entry () =
       close_in ic;
       overwrite path text)
 
-(* The same payload, written by a store of another version. *)
+(* The same payload, written by a build with another code digest. *)
 let test_stale_version_entry () =
   damaged_entry_recomputes "stale-version" (fun path ->
-      write_as ~version:"v0-something-else" path (body_of path))
+      write_as ~stamp:"v0-something-else" path (body_of path))
 
-(* A faithful pre-refactor (version-1) entry — three-int meta line,
-   version 1 in the header — planted at the current key's path can
-   never satisfy a post-refactor lookup: the header check rejects it
-   before the meta line is even reached. *)
+(* A faithful entry of the old hand-bumped version 1 — three-int meta
+   line, stamp 1 in the header — planted at the current key's path can
+   never satisfy a lookup: the header check rejects it before the meta
+   line is even reached. *)
 let test_previous_version_entry () =
   damaged_entry_recomputes "previous-version" (fun path ->
       let downgrade line =
@@ -135,7 +142,7 @@ let test_previous_version_entry () =
         | "meta" :: p :: s :: o :: _ -> String.concat " " [ "meta"; p; s; o ]
         | _ -> line
       in
-      write_as ~version:"1" path
+      write_as ~stamp:"1" path
         (String.concat "\n"
            (List.map downgrade (String.split_on_char '\n' (body_of path)))))
 

@@ -189,6 +189,35 @@ let test_campaign_catches_injected_divergence () =
         true (cx.Driver.cx_nodes <= 20))
     report.Driver.r_counterexamples
 
+(* Without minimisation the campaign must not claim a shrink: every
+   program diverges, [~shrink:false] keeps the shrinker from running,
+   and each counterexample is the generated program itself. *)
+let test_campaign_no_shrink_claim () =
+  let lines = ref [] in
+  let report =
+    Driver.campaign
+      ~check:(fun _ ->
+        Cross.Diverge
+          {
+            Cross.d_scheme = Scheme.high5;
+            d_support = chk;
+            d_detail = "injected: always";
+          })
+      ~log:(fun l -> lines := l :: !lines)
+      ~shrink:false ~matrix:Cross.smoke ~seed:5 ~count:3 ~max_size:40 ()
+  in
+  let has prefix = List.exists (String.starts_with ~prefix) !lines in
+  Alcotest.(check bool) "no shrunk-to line" false (has "  shrunk to");
+  Alcotest.(check bool) "not-shrunk lines" true (has "  not shrunk (");
+  List.iter
+    (fun cx ->
+      Alcotest.(check bool) "not minimized" false cx.Driver.cx_minimized;
+      Alcotest.(check string) "source kept" cx.Driver.cx_source
+        cx.Driver.cx_shrunk)
+    report.Driver.r_counterexamples;
+  Alcotest.(check int) "every program a counterexample" 3
+    (List.length report.Driver.r_counterexamples)
+
 let test_campaign_deterministic () =
   let run () =
     let r =
@@ -371,6 +400,8 @@ let suite =
           test_shrink_wrong_arity_bounded;
         Alcotest.test_case "campaign-injected-divergence" `Quick
           test_campaign_catches_injected_divergence;
+        Alcotest.test_case "campaign-no-shrink-claim" `Quick
+          test_campaign_no_shrink_claim;
         Alcotest.test_case "campaign-deterministic" `Quick
           test_campaign_deterministic;
         Alcotest.test_case "smoke-campaign" `Slow test_smoke_campaign;

@@ -1,15 +1,14 @@
-(* Fault injection on the content-addressed store, on one real file of
-   its one namespace: the measurement entry of one cold run of inter.
-   Every fault must be a miss, never a hit with other bytes: truncation
-   at every offset, every single-bit flip, a temp file a killed writer
-   left behind, a read-only directory, two domains racing on one key,
-   and a file copied under another key's name.  A flipped digit in a
+(* Fault injection on the measurement store, on one real entry: the
+   measurement of one cold run of inter.  Every fault must be exactly
+   one counted miss, never a hit with other bytes: truncation at every
+   offset, every single-bit flip, a temp file a killed writer left
+   behind, a read-only directory, two domains racing on one key, and a
+   file copied under another key's name.  A flipped digit in a
    measurement entry must be recomputed, not rendered. *)
 
 module B = Tagsim.Benchmarks
 module Run = Tagsim.Analysis.Run
 module Cache = Tagsim.Analysis.Cache
-module Store = Tagsim.Store
 module Scheme = Tagsim.Scheme
 module Support = Tagsim.Support
 
@@ -20,19 +19,29 @@ let overwrite path text =
 
 let key_of path = Filename.remove_extension (Filename.basename path)
 
-(* The body of the store file at [path], its header line dropped. *)
-let body_of path =
+(* The header line of the entry at [path] and the body after it. *)
+let split_entry path =
   let text = read_file path in
-  let i = String.index text '\n' + 1 in
-  String.sub text i (String.length text - i)
+  let i = String.index text '\n' in
+  (String.sub text 0 i, String.sub text (i + 1) (String.length text - i - 1))
 
-(* Rewrite [path] with [body] as a store of namespace [name] at
-   [version] would have written it: a valid header and digest, so only
-   the version field can reject it. *)
-let write_as ~name ~ext ~version path body =
-  let ns = Store.create ~name ~ext ~version ~dir:(Filename.dirname path) in
-  Store.set_enabled ns true;
-  Store.store ns (key_of path) Fun.id body
+let body_of path = snd (split_entry path)
+
+(* The code digest field of the entry at [path]. *)
+let stamp_of path =
+  match String.split_on_char ' ' (fst (split_entry path)) with
+  | [ "tagsim-store"; "cache"; stamp; _; _ ] -> stamp
+  | _ -> Alcotest.failf "%s: not an entry header" path
+
+(* Rewrite [path] with [body] as a build whose code digest is [stamp]
+   would have written it: the header
+   [tagsim-store cache <stamp> <key> <md5 of body>], then the body.  The
+   header is valid, so with another [stamp] only that field rejects it. *)
+let write_as ~stamp path body =
+  overwrite path
+    (Printf.sprintf "tagsim-store cache %s %s %s\n%s" stamp (key_of path)
+       (Digest.to_hex (Digest.string body))
+       body)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -44,13 +53,10 @@ let rec rm_rf path =
 let config () =
   Run.config ~scheme:Scheme.high5 ~support:Support.software (B.find "inter")
 
-(* One real file of a namespace. *)
-type sample = { label : string; ns : Store.t; path : string }
-
 (* Point the measurement store at a fresh directory, run inter cold
-   once, and hand [f] its entry; restore the library defaults
-   afterwards. *)
-let with_samples f =
+   once, and hand [f] the path of its entry; restore the library
+   defaults afterwards. *)
+let with_entry f =
   let root = Filename.temp_dir "tagsim_store_test" "" in
   Cache.set_dir root;
   Cache.set_enabled true;
@@ -64,80 +70,72 @@ let with_samples f =
     (fun () ->
       let c = config () in
       ignore (Run.run_config c);
-      f
-        [
-          { label = "entry"; ns = Cache.namespace;
-            path = Cache.entry_path (Run.cache_key c) };
-        ])
+      f (Cache.entry_path (Run.cache_key c)))
 
-let load s = Store.load s.ns (key_of s.path) Fun.id
+let load path = Cache.load (key_of path)
 
-(* Run [damage] on every sample, check the namespace reports exactly
-   one miss and no hit for the lookup that follows, and put the
-   original file back (which must load again). *)
-let each_fault samples damage =
-  List.iter
-    (fun s ->
-      let original = read_file s.path in
-      let body =
-        match load s with
-        | Some b -> b
-        | None -> Alcotest.failf "%s: the undamaged sample misses" s.label
-      in
-      damage s original body;
-      overwrite s.path original;
-      Alcotest.(check (option string))
-        (s.label ^ ": restored") (Some body) (load s))
-    samples
+(* Run [damage] on the entry, then put the original file back (which
+   must load again). *)
+let each_fault path damage =
+  let original = read_file path in
+  let payload =
+    match load path with
+    | Some p -> p
+    | None -> Alcotest.fail "the undamaged entry misses"
+  in
+  damage original payload;
+  overwrite path original;
+  Alcotest.(check bool) "restored" true (load path = Some payload)
 
-let expect_miss s what =
-  Store.reset_counters s.ns;
-  (match load s with
+(* The lookup of [path] is exactly one counted miss and no hit. *)
+let expect_miss path what =
+  Cache.reset_counters ();
+  (match load path with
   | None -> ()
-  | Some _ -> Alcotest.failf "%s: %s loaded" s.label what);
-  let hits, misses, _ = Store.counters s.ns in
+  | Some _ -> Alcotest.failf "%s loaded" what);
+  let hits, misses, _ = Cache.counters () in
   if hits <> 0 || misses <> 1 then
-    Alcotest.failf "%s: %s counted %d hits, %d misses" s.label what hits misses
+    Alcotest.failf "%s counted %d hits, %d misses" what hits misses
 
 let test_truncation () =
-  with_samples (fun samples ->
-      each_fault samples (fun s original _ ->
+  with_entry (fun path ->
+      each_fault path (fun original _ ->
           for n = 0 to String.length original - 1 do
-            overwrite s.path (String.sub original 0 n);
-            expect_miss s (Printf.sprintf "truncation to %d bytes" n)
+            overwrite path (String.sub original 0 n);
+            expect_miss path (Printf.sprintf "truncation to %d bytes" n)
           done))
 
 let test_bit_flips () =
-  with_samples (fun samples ->
-      each_fault samples (fun s original _ ->
+  with_entry (fun path ->
+      each_fault path (fun original _ ->
           let b = Bytes.of_string original in
           for i = 0 to Bytes.length b - 1 do
             let c = Bytes.get_uint8 b i in
             for bit = 0 to 7 do
               Bytes.set_uint8 b i (c lxor (1 lsl bit));
-              overwrite s.path (Bytes.to_string b);
-              expect_miss s (Printf.sprintf "flip of bit %d at byte %d" bit i)
+              overwrite path (Bytes.to_string b);
+              expect_miss path
+                (Printf.sprintf "flip of bit %d at byte %d" bit i)
             done;
             Bytes.set_uint8 b i c
           done))
 
 (* A kill between the write and the rename leaves
-   [<key>.tmp.<pid>.<domain>.<ext>] beside (or instead of) the entry. *)
+   [<key>.tmp.<pid>.<domain>.entry] beside (or instead of) the entry. *)
 let test_stray_temp () =
-  with_samples (fun samples ->
-      each_fault samples (fun s original body ->
-          let ext = Filename.extension s.path in
+  with_entry (fun path ->
+      each_fault path (fun original payload ->
           let tmp =
-            Filename.concat (Filename.dirname s.path)
-              (key_of s.path ^ ".tmp.4242.0" ^ ext)
+            Filename.concat (Filename.dirname path)
+              (key_of path ^ ".tmp.4242.0.entry")
           in
           overwrite tmp original;
-          Alcotest.(check (option string))
-            (s.label ^ ": entry served, temp ignored") (Some body) (load s);
-          Sys.remove s.path;
-          expect_miss s "a stray temp file";
-          Store.wipe s.ns;
-          Alcotest.(check bool) (s.label ^ ": wipe removes the temp file") false
+          Alcotest.(check bool) "entry served, temp ignored" true
+            (load path = Some payload);
+          Sys.remove path;
+          expect_miss path "a stray temp file";
+          Cache.wipe ();
+          Alcotest.(check bool) "wipe removes the temp file" false
             (Sys.file_exists tmp)))
 
 (* A store directory nothing can be written into: [(to_remove, dir)].
@@ -155,69 +153,62 @@ let unwritable_dir () =
       (ro, Filename.concat probe "store")
 
 let test_read_only_dir () =
-  with_samples (fun samples ->
-      List.iter
-        (fun s ->
-          let body = Option.get (load s) and dir = Store.dir s.ns in
-          let ro, target = unwritable_dir () in
-          Fun.protect
-            ~finally:(fun () ->
-              Store.set_dir s.ns dir;
-              Unix.chmod ro 0o755;
-              rm_rf ro)
-            (fun () ->
-              Store.set_dir s.ns target;
-              Store.reset_counters s.ns;
-              Store.store s.ns (key_of s.path) Fun.id body;
-              let _, _, writes = Store.counters s.ns in
-              Alcotest.(check int) (s.label ^ ": no write") 0 writes;
-              expect_miss
-                { s with path = Store.path s.ns (key_of s.path) }
-                "an entry in an unwritable directory"))
-        samples)
+  with_entry (fun path ->
+      let payload = Option.get (load path) and dir = Cache.dir () in
+      let ro, target = unwritable_dir () in
+      Fun.protect
+        ~finally:(fun () ->
+          Cache.set_dir dir;
+          Unix.chmod ro 0o755;
+          rm_rf ro)
+        (fun () ->
+          Cache.set_dir target;
+          Cache.reset_counters ();
+          Cache.store (key_of path) payload;
+          let _, _, writes = Cache.counters () in
+          Alcotest.(check int) "no write" 0 writes;
+          expect_miss
+            (Cache.entry_path (key_of path))
+            "an entry in an unwritable directory"))
 
 let test_racing_domains () =
-  with_samples (fun samples ->
-      List.iter
-        (fun s ->
-          let body = Option.get (load s) and k = key_of s.path in
-          Sys.remove s.path;
-          let writer () =
-            for _ = 1 to 50 do
-              Store.store s.ns k Fun.id body
-            done
-          in
-          let d = Domain.spawn writer in
-          writer ();
-          Domain.join d;
-          Alcotest.(check (option string)) (s.label ^ ": intact") (Some body)
-            (load s);
-          Array.iter
-            (fun n ->
-              if Filename.check_suffix n (Filename.extension s.path)
-                 && n <> Filename.basename s.path
-                 && String.starts_with ~prefix:k n
-              then Alcotest.failf "%s: temp file %s left behind" s.label n)
-            (Sys.readdir (Store.dir s.ns)))
-        samples)
+  with_entry (fun path ->
+      let payload = Option.get (load path) and k = key_of path in
+      let text = read_file path in
+      Sys.remove path;
+      let writer () =
+        for _ = 1 to 50 do
+          Cache.store k payload
+        done
+      in
+      let d = Domain.spawn writer in
+      writer ();
+      Domain.join d;
+      Alcotest.(check string) "intact" text (read_file path);
+      Alcotest.(check bool) "loads" true (load path = Some payload);
+      Array.iter
+        (fun n ->
+          if Filename.check_suffix n ".entry"
+             && n <> Filename.basename path
+             && String.starts_with ~prefix:k n
+          then Alcotest.failf "temp file %s left behind" n)
+        (Sys.readdir (Cache.dir ())))
 
 let test_copied_under_other_key () =
-  with_samples (fun samples ->
-      List.iter
-        (fun s ->
-          let other = Store.path s.ns (Store.key s.ns [ "another key" ]) in
-          overwrite other (read_file s.path);
-          expect_miss { s with path = other } "a copy under another key";
-          Sys.remove other)
-        samples)
+  with_entry (fun path ->
+      let other =
+        Cache.entry_path (Digest.to_hex (Digest.string "another key"))
+      in
+      overwrite other (read_file path);
+      expect_miss other "a copy under another key";
+      Sys.remove other)
 
 (* A one-bit flip inside inter's measurement payload ("meta 9" becomes
    "meta 1", 0x39 -> 0x31) parses perfectly well: only the digest can
    reject it.  The run must recompute and report 9 procedures. *)
 let test_meta_flip_recomputes () =
-  with_samples (fun samples ->
-      let entry = List.find (fun s -> s.label = "entry") samples in
-      let text = read_file entry.path in
+  with_entry (fun path ->
+      let text = read_file path in
       let at =
         let rec find i =
           if String.sub text i 7 = "\nmeta 9" then i + 6 else find (i + 1)
@@ -226,7 +217,7 @@ let test_meta_flip_recomputes () =
       in
       let b = Bytes.of_string text in
       Bytes.set b at '1';
-      overwrite entry.path (Bytes.to_string b);
+      overwrite path (Bytes.to_string b);
       Run.clear_cache ();
       Cache.reset_counters ();
       let before = Run.simulations () in
@@ -236,7 +227,7 @@ let test_meta_flip_recomputes () =
         (Cache.counters ());
       Alcotest.(check int) "procedures" 9 m.Run.meta.Tagsim.Program.procedures;
       Alcotest.(check string) "undamaged bytes rewritten" text
-        (read_file entry.path))
+        (read_file path))
 
 let suite =
   [
