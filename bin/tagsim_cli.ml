@@ -364,43 +364,42 @@ let fuzz_cmd =
 (* --- experiments --- *)
 
 (* The [--verbose] run summary, on stderr so the artifact text on stdout
-   stays byte-identical between cold and warm runs.  CI greps the
-   "cache:" and "simulations:" lines to assert a 100% hit rate. *)
+   stays byte-identical between cold and warm runs, read from the
+   counter registry.  CI greps the "cache:", "simulations:" and
+   "traces:" lines. *)
 let print_run_summary () =
   let module Cache = Tagsim.Analysis.Cache in
-  let hits, misses, writes = Cache.counters () in
-  let compile_s, simulate_s, render_s =
-    Tagsim.Analysis.Instrument.totals ()
-  in
-  let bt = Tagsim.Analysis.Instrument.backend_totals () in
+  let module M = Tagsim.Metrics in
+  let n name = M.get (M.counter name) and s name = M.seconds (M.counter name) in
   Fmt.epr "== run summary ==@.";
   Fmt.epr "jobs: %d@." !Tagsim.Analysis.Pool.default_jobs;
   if Cache.enabled () then
-    Fmt.epr "cache: %d hits, %d misses, %d writes (dir %s)@." hits misses
-      writes (Cache.dir ())
+    Fmt.epr "cache: %d hits, %d misses, %d writes (dir %s)@." (n "cache.hits")
+      (n "cache.misses") (n "cache.writes") (Cache.dir ())
   else Fmt.epr "cache: disabled@.";
-  Fmt.epr "simulations: %d@." (Tagsim.Analysis.Run.simulations ());
-  Fmt.epr "phases: compile %.2fs  simulate %.2fs  render %.2fs@." compile_s
-    simulate_s render_s;
+  Fmt.epr "simulations: %d@." (n "run.simulations");
+  let simulate_s = s "run.simulate_s" in
+  Fmt.epr "phases: compile %.2fs  simulate %.2fs  render %.2fs@."
+    (s "run.compile_s") simulate_s (s "planner.render_s");
   Fmt.epr
     "backend: codegen %.2fs  lower %.2fs  opt %.2fs  select %.2fs  schedule \
      %.2fs  assemble %.2fs  link %.2fs@."
-    bt.Tagsim.Bphase.codegen_s bt.Tagsim.Bphase.lower_s bt.Tagsim.Bphase.opt_s
-    bt.Tagsim.Bphase.select_s bt.Tagsim.Bphase.schedule_s
-    bt.Tagsim.Bphase.assemble_s bt.Tagsim.Bphase.link_s;
-  let tt = Tagsim.Analysis.Instrument.trace_totals () in
+    (s "compiler.codegen_s") (s "compiler.lower_s") (s "compiler.opt_s")
+    (s "compiler.select_s") (s "asm.schedule_s") (s "asm.assemble_s")
+    (s "asm.link_s");
   let pct part whole =
     if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
   in
+  let entered = n "trace.entered" in
   Fmt.epr
     "traces: formed %d in %.1fs (%.0f Mword), %d entered, side-exit rate \
      %.2f%%, %.1f%% of instructions retired in traces@."
-    tt.Tagsim.Machine.tt_formed tt.Tagsim.Machine.tt_form_s
-    (float_of_int tt.Tagsim.Machine.tt_form_words /. 1e6)
-    tt.Tagsim.Machine.tt_entries
-    (pct tt.Tagsim.Machine.tt_side_exits tt.Tagsim.Machine.tt_entries)
-    (pct tt.Tagsim.Machine.tt_in_trace tt.Tagsim.Machine.tt_retired);
-  let insns = tt.Tagsim.Machine.tt_insns in
+    (n "trace.formed") (s "trace.form_s")
+    (float_of_int (n "trace.form_words") /. 1e6)
+    entered
+    (pct (n "trace.side_exits") entered)
+    (pct (n "trace.in_trace") (n "trace.retired"));
+  let insns = n "trace.insns" in
   Fmt.epr "retired: %d instructions in traced runs, %.0f MIPS over simulate@."
     insns
     (if simulate_s > 0.0 then float_of_int insns /. simulate_s /. 1e6
@@ -479,17 +478,27 @@ let experiments_cmd =
           ~doc:
             "Bypass the persistent measurement cache entirely: neither \
              read nor write it, so every configuration is compiled and \
-             simulated (the in-process measurement memo still shares a \
-             configuration between the artifacts that use it).")
+             simulated.  A configuration that several requested \
+             artifacts use is still simulated once: the plan unions and \
+             deduplicates their matrices before it runs.")
   in
   let verbose =
     Arg.(
       value & flag
       & info [ "v"; "verbose" ]
           ~doc:
-            "Print a run summary on stderr: worker count, cache \
-             hit/miss/write counters, simulations performed and \
-             per-phase (compile/simulate/render) wall-clock totals.")
+            "Print a run summary on stderr, one line each: $(b,jobs:) \
+             the worker count; $(b,cache:) store hits, misses and \
+             writes; $(b,simulations:) configurations simulated; \
+             $(b,phases:) compile, simulate and render wall-clock \
+             totals; $(b,backend:) the compile phase split into \
+             codegen, lower, opt, select, schedule, assemble and link; \
+             $(b,traces:) superblock traces formed (with their \
+             formation time and allocation), entered, the side-exit \
+             rate and the share of instructions retired in traces; \
+             $(b,retired:) instructions retired by traced runs and the \
+             MIPS over simulate.  Every figure is read from the one \
+             counter registry, summed over all worker domains.")
   in
   Cmd.v
     (Cmd.info "experiments"

@@ -40,6 +40,7 @@
     domains never expose a partial file; a failed write is dropped
     silently. *)
 
+module Metrics = Tagsim_metrics.Metrics
 module Stats = Tagsim_sim.Stats
 module Scheme = Tagsim_tags.Scheme
 module Support = Tagsim_tags.Support
@@ -52,16 +53,14 @@ module Program = Tagsim_compiler.Program
 
 let on = ref false
 let root = ref "_tagsim_cache"
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let writes = Atomic.make 0
+let hits = Metrics.counter "cache.hits"
+let misses = Metrics.counter "cache.misses"
+let writes = Metrics.counter "cache.writes"
 let enabled () = !on
 let set_enabled b = on := b
 let dir () = !root
 let set_dir d = root := d
-let counters () = (Atomic.get hits, Atomic.get misses, Atomic.get writes)
-let reset_counters () =
-  List.iter (fun c -> Atomic.set c 0) [ hits; misses; writes ]
+let counters () = Metrics.(get hits, get misses, get writes)
 
 (* --- Keys. --- *)
 
@@ -205,7 +204,7 @@ let load k =
       | None -> None
       | exception _ -> None
     in
-    Atomic.incr (if Option.is_some result then hits else misses);
+    Metrics.add (if Option.is_some result then hits else misses) 1;
     result
 
 let rec mkdir_p d =
@@ -232,7 +231,7 @@ let store k p =
           output_char oc '\n';
           output_string oc body);
       Sys.rename tmp (entry_path k);
-      Atomic.incr writes
+      Metrics.add writes 1
     with _ -> ( try Sys.remove tmp with Sys_error _ -> ())
   end
 

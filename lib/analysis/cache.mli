@@ -21,10 +21,11 @@ val set_enabled : bool -> unit
 val dir : unit -> string
 val set_dir : string -> unit
 
-(** [(hits, misses, writes)] since start or {!reset_counters}. *)
+(** [(hits, misses, writes)]: the [cache.hits], [cache.misses] and
+    [cache.writes] counters of {!Tagsim_metrics.Metrics}, as a view kept
+    only for tagbench/, which still reads it; the benchmark change of
+    ROADMAP item 3 removes it. *)
 val counters : unit -> int * int * int
-
-val reset_counters : unit -> unit
 
 (** Delete every [*.entry] file in {!dir}: entries and the temp files
     of killed writers. *)

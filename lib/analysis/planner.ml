@@ -7,6 +7,7 @@
     order); here the overlap is deduplicated globally before any
     simulation starts. *)
 
+module Metrics = Tagsim_metrics.Metrics
 module Machine = Tagsim_sim.Machine
 module Registry = Tagsim_programs.Registry
 
@@ -27,6 +28,8 @@ let artifacts : Spec.artifact list =
 let names () = List.map (fun a -> a.Spec.a_name) artifacts
 let find name = List.find_opt (fun a -> a.Spec.a_name = name) artifacts
 
+let render_s = Metrics.counter "planner.render_s"
+
 (** Execute a plan: one deduplicated fan-out over the union of the
     requested artifacts' matrices, then render each artifact from the
     shared store.  [entries] restricts the benchmark suite (tests);
@@ -38,7 +41,7 @@ let plan ?jobs ?(engine = `Traced) ?entries (requested : Spec.artifact list) =
   in
   let union = List.concat_map (fun a -> a.Spec.a_configs entries) requested in
   let lookup = Spec.lookup_of ?jobs ~engine union in
-  Instrument.time Instrument.Render (fun () ->
+  Metrics.time render_s (fun () ->
       List.map (fun a -> a.Spec.a_render entries lookup) requested)
 
 (** {1 Sinks} *)

@@ -5,6 +5,7 @@
     domains of {!Pool} while renderers look measurements up from the
     warmed store. *)
 
+module Metrics = Tagsim_metrics.Metrics
 module Stats = Tagsim_sim.Stats
 module Machine = Tagsim_sim.Machine
 module Scheme = Tagsim_tags.Scheme
@@ -66,14 +67,12 @@ let frontend_of (entry : Registry.entry) =
           Hashtbl.replace frontends k fe;
           fe)
 
-(* Count of actual simulations performed (memo-cache misses), for tests
-   that assert the planner simulates each distinct configuration exactly
-   once.  Under concurrent workers a configuration may be simulated
-   twice (the computation is deliberately outside the cache lock), so
-   exact-count tests must use [jobs:1]. *)
-let simulation_count = Atomic.make 0
-let simulations () = Atomic.get simulation_count
-let reset_simulations () = Atomic.set simulation_count 0
+(* Simulations performed (memo and store misses), and the wall time of
+   their compile and simulate phases. *)
+let simulation_count = Metrics.counter "run.simulations"
+let compile_s = Metrics.counter "run.compile_s"
+let simulate_s = Metrics.counter "run.simulate_s"
+let simulations () = Metrics.get simulation_count
 
 let sched_key (s : Sched.config) =
   Printf.sprintf "%b%b%b" s.Sched.hoist s.Sched.fill_unlikely
@@ -140,15 +139,15 @@ let lookup_cached c =
    simulator.  [run_many] de-duplicates its matrix up front, so in
    practice each configuration is simulated once. *)
 let compute_config c =
-  Atomic.incr simulation_count;
+  Metrics.add simulation_count 1;
   let entry = c.c_entry and scheme = c.c_scheme and support = c.c_support in
   let program =
-    Instrument.time Instrument.Compile (fun () ->
+    Metrics.time compile_s (fun () ->
         Program.compile_frontend ~opt:c.c_opt ~sched:c.c_sched
           ~sizes:entry.Registry.sizes ~scheme ~support (frontend_of entry))
   in
   let result =
-    Instrument.time Instrument.Simulate (fun () ->
+    Metrics.time simulate_s (fun () ->
         Program.run ~engine:c.c_engine program)
   in
   (match result.Program.abort with

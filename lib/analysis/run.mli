@@ -45,13 +45,13 @@ val clear_cache : unit -> unit
     content-addressed digest (see {!Cache.key}). *)
 val cache_key : config -> string
 
-(** Number of actual simulations performed since start (or the last
-    {!reset_simulations}): memo-cache misses only.  Exact only for
-    serial fan-outs ([jobs:1]) — concurrent workers may duplicate a
-    computation. *)
+(** The [run.simulations] counter of {!Tagsim_metrics.Metrics}:
+    simulations performed, that is memo and store misses.  {!run_many}
+    deduplicates its matrix before it dispatches, so a fan-out at any
+    job count simulates each configuration once.  A view kept only for
+    tagbench/, which still reads it; the benchmark change of ROADMAP
+    item 3 removes it. *)
 val simulations : unit -> int
-
-val reset_simulations : unit -> unit
 
 (** Engine-agnostic identity of a configuration (entry, scheme, support,
     scheduler, optimization level): the key of the planner's measurement

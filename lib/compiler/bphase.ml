@@ -1,16 +1,6 @@
-(** Wall-clock accounting for the backend's internal phases, mirroring
-    the pipeline-level {!Tagsim_analysis.Instrument} (which re-exports
-    these totals): monolithic code generation, the incremental path's
-    lowering / optimization / selection split, per-unit delay-slot
-    scheduling, monolithic assembly, and incremental linking.  The
-    monolithic path schedules inside {!Tagsim_asm.Image.assemble}, so
-    its scheduling time lands in [Assemble]; the incremental path
-    charges [Lower]/[Opt]/[Select] per unit, [Schedule] per unit and
-    [Link] for layout plus relocation patching.  Workers on any domain
-    accumulate into the shared totals (mutex-protected; the amounts are
-    milliseconds-coarse, so one lock is irrelevant). *)
+(* The backend's phase timers as one record (see bphase.mli). *)
 
-type phase = Codegen | Lower | Opt | Select | Schedule | Assemble | Link
+module Metrics = Tagsim_metrics.Metrics
 
 type totals = {
   codegen_s : float;
@@ -22,53 +12,14 @@ type totals = {
   link_s : float;
 }
 
-let now () = Unix.gettimeofday ()
-
-let mutex = Mutex.create ()
-let codegen_s = ref 0.0
-let lower_s = ref 0.0
-let opt_s = ref 0.0
-let select_s = ref 0.0
-let schedule_s = ref 0.0
-let assemble_s = ref 0.0
-let link_s = ref 0.0
-
-let slot = function
-  | Codegen -> codegen_s
-  | Lower -> lower_s
-  | Opt -> opt_s
-  | Select -> select_s
-  | Schedule -> schedule_s
-  | Assemble -> assemble_s
-  | Link -> link_s
-
-let add phase dt =
-  Mutex.protect mutex (fun () ->
-      let r = slot phase in
-      r := !r +. dt)
-
-let time phase f =
-  let t0 = now () in
-  Fun.protect ~finally:(fun () -> add phase (now () -. t0)) f
-
 let totals () =
-  Mutex.protect mutex (fun () ->
-      {
-        codegen_s = !codegen_s;
-        lower_s = !lower_s;
-        opt_s = !opt_s;
-        select_s = !select_s;
-        schedule_s = !schedule_s;
-        assemble_s = !assemble_s;
-        link_s = !link_s;
-      })
-
-let reset () =
-  Mutex.protect mutex (fun () ->
-      codegen_s := 0.0;
-      lower_s := 0.0;
-      opt_s := 0.0;
-      select_s := 0.0;
-      schedule_s := 0.0;
-      assemble_s := 0.0;
-      link_s := 0.0)
+  let s name = Metrics.seconds (Metrics.counter name) in
+  {
+    codegen_s = s "compiler.codegen_s";
+    lower_s = s "compiler.lower_s";
+    opt_s = s "compiler.opt_s";
+    select_s = s "compiler.select_s";
+    schedule_s = s "asm.schedule_s";
+    assemble_s = s "asm.assemble_s";
+    link_s = s "asm.link_s";
+  }

@@ -1,30 +1,16 @@
-(** Wall-clock accounting for the backend's internal phases — monolithic
-    code generation; the incremental path's AST->TIR lowering,
-    check-elimination optimization and TIR->assembly selection; per-unit
-    delay-slot scheduling; monolithic assembly; incremental linking —
-    accumulated across all worker domains and printed by the CLI under
-    [--verbose] (via the pipeline-level [Instrument], which re-exports
-    these totals). *)
+(** The backend's phase timers, which {!Program} keeps in
+    {!Tagsim_metrics.Metrics}, as one record of seconds: a view kept
+    only for tagbench/, which still reads it; the benchmark change of
+    ROADMAP item 3 removes it. *)
 
-type phase = Codegen | Lower | Opt | Select | Schedule | Assemble | Link
-
-(** Per-phase seconds since start or {!reset}. *)
 type totals = {
-  codegen_s : float;
-  lower_s : float;
-  opt_s : float;
-  select_s : float;
-  schedule_s : float;
-  assemble_s : float;
-  link_s : float;
+  codegen_s : float;  (** [compiler.codegen_s] *)
+  lower_s : float;  (** [compiler.lower_s] *)
+  opt_s : float;  (** [compiler.opt_s] *)
+  select_s : float;  (** [compiler.select_s] *)
+  schedule_s : float;  (** [asm.schedule_s] *)
+  assemble_s : float;  (** [asm.assemble_s] *)
+  link_s : float;  (** [asm.link_s] *)
 }
 
-(** Accumulate [dt] seconds into a phase total (thread-safe). *)
-val add : phase -> float -> unit
-
-(** Run [f] and charge its wall-clock duration to [phase] (also on
-    exception). *)
-val time : phase -> (unit -> 'a) -> 'a
-
 val totals : unit -> totals
-val reset : unit -> unit

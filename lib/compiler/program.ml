@@ -12,6 +12,7 @@ module Buf = Tagsim_asm.Buf
 module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Link = Tagsim_asm.Link
+module Metrics = Tagsim_metrics.Metrics
 module Machine = Tagsim_sim.Machine
 module Trace = Tagsim_sim.Trace
 module Stats = Tagsim_sim.Stats
@@ -183,13 +184,23 @@ let analyze source : frontend =
 type backend = [ `Monolithic | `Incremental ]
 type opt = Tir.opt
 
+(* The backend's phase timers.  The monolithic path schedules inside
+   [Image.assemble], so its scheduling time lands in [t_assemble]. *)
+let t_codegen = Metrics.counter "compiler.codegen_s"
+let t_lower = Metrics.counter "compiler.lower_s"
+let t_opt = Metrics.counter "compiler.opt_s"
+let t_select = Metrics.counter "compiler.select_s"
+let t_schedule = Metrics.counter "asm.schedule_s"
+let t_assemble = Metrics.counter "asm.assemble_s"
+let t_link = Metrics.counter "asm.link_s"
+
 (* The monolithic backend: one buffer, whole-program scheduling inside
    [Image.assemble].  Kept verbatim as the incremental backend's
    differential oracle (see [test/suite_link.ml]). *)
 let backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained =
   let buf = Buf.create () in
   let ctx = { Emit.b = buf; scheme; support } in
-  Bphase.time Bphase.Codegen (fun () ->
+  Metrics.time t_codegen (fun () ->
       Rt.emit_startup ctx ~main_label:(L.fn_label "main");
       List.iter (fun (_, d) -> Codegen.compile_def ctx symtab funcs d) retained;
       Rt.emit_routines ctx);
@@ -197,7 +208,7 @@ let backend_monolithic ~sched ~scheme ~support ~symtab ~funcs retained =
   let final = Buf.create () in
   Symtab.emit_data symtab scheme final;
   Buf.append final buf;
-  Bphase.time Bphase.Assemble (fun () -> Image.assemble ~sched final)
+  Metrics.time t_assemble (fun () -> Image.assemble ~sched final)
 
 (* The incremental backend: one relocatable object per unit — startup
    stub, each Lisp function, the runtime routine group — each emitted
@@ -220,13 +231,13 @@ let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
   let ctx = { Emit.b = buf; scheme; support } in
   let fragment () =
     let frag =
-      Bphase.time Bphase.Schedule (fun () -> Link.fragment_of_buf ~sched buf)
+      Metrics.time t_schedule (fun () -> Link.fragment_of_buf ~sched buf)
     in
     Buf.clear buf;
     frag
   in
   let codegen emit =
-    Bphase.time Bphase.Codegen emit;
+    Metrics.time t_codegen emit;
     fragment ()
   in
   let elided = ref 0 in
@@ -237,18 +248,18 @@ let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
     List.map
       (fun (_, d) ->
         let tf =
-          Bphase.time Bphase.Lower (fun () ->
+          Metrics.time t_lower (fun () ->
               Lower.def ~fresh:(Buf.fresh buf) symtab funcs d)
         in
         let tf =
           match opt with
           | `None -> tf
           | `Checks ->
-              let tf, n = Bphase.time Bphase.Opt (fun () -> Checkelim.run tf) in
+              let tf, n = Metrics.time t_opt (fun () -> Checkelim.run tf) in
               elided := !elided + n;
               tf
         in
-        Bphase.time Bphase.Select (fun () -> Select.fn ctx symtab tf);
+        Metrics.time t_select (fun () -> Select.fn ctx symtab tf);
         fragment ())
       retained
   in
@@ -260,7 +271,7 @@ let backend_incremental ~sched ~scheme ~support ~symtab ~funcs ~opt retained =
   Symtab.emit_data symtab scheme buf;
   let symtab_frag = fragment () in
   let image =
-    Bphase.time Bphase.Link (fun () ->
+    Metrics.time t_link (fun () ->
         Link.link ((symtab_frag :: startup :: fns) @ [ rt ]))
   in
   (image, !elided)

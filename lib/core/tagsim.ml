@@ -18,6 +18,7 @@
          breakdown *)
     ]} *)
 
+module Metrics = Tagsim_metrics.Metrics
 module Word = Tagsim_mipsx.Word
 module Reg = Tagsim_mipsx.Reg
 module Annot = Tagsim_mipsx.Annot
@@ -61,7 +62,6 @@ end
 module Analysis = struct
   module Pool = Tagsim_analysis.Pool
   module Cache = Tagsim_analysis.Cache
-  module Instrument = Tagsim_analysis.Instrument
   module Run = Tagsim_analysis.Run
   module Spec = Tagsim_analysis.Spec
   module Planner = Tagsim_analysis.Planner

@@ -86,7 +86,9 @@ let narrow m (d : divergence) =
 (* One engine run: outcome plus the raw statistics and GC counters.
    Fuel exhaustion and memory faults are outcomes, not failures — all
    engines execute the same image cycle for cycle, so they must agree
-   even on those. *)
+   even on those, statistics included: the machine outlives the
+   exception, and both engines stop at the identical retirement
+   count. *)
 type run = {
   r_outcome : outcome;
   r_stats : Stats.t option;
@@ -103,31 +105,43 @@ let compile ?(sizes = Gen.sizes) ~backend ~opt ~scheme ~support source =
   | exception Invalid_argument m -> Error ("invalid: " ^ m)
 
 let run_engine ~fuel ~engine p =
-  match Program.run ~fuel ~engine p with
-  | { Program.abort = Some msg; stats; gc_collections; gc_bytes_copied; _ } ->
-      {
-        r_outcome = Abort msg;
-        r_stats = Some stats;
-        r_gc = Some (gc_collections, gc_bytes_copied);
-      }
-  | { Program.value = Some v; stats; gc_collections; gc_bytes_copied; _ } ->
-      {
-        r_outcome = Value (Program.hval_to_string v);
-        r_stats = Some stats;
-        r_gc = Some (gc_collections, gc_bytes_copied);
-      }
-  | _ -> { r_outcome = Abort "no value"; r_stats = None; r_gc = None }
-  | exception Machine.Out_of_fuel ->
-      { r_outcome = Timeout; r_stats = None; r_gc = None }
-  | exception Machine.Machine_error m ->
-      (* a wild memory fault, as opposed to a checked [Abort]: its
-         message embeds the faulting pc, which is layout-dependent, so
-         faults are only comparable between runs of the same image *)
-      { r_outcome = Fault m; r_stats = None; r_gc = None }
-  | exception Invalid_argument m ->
-      (* an unchecked run can terminate normally with a garbage word in
-         the result register; the host-side value decoder rejects it *)
-      { r_outcome = Fault ("undecodable result: " ^ m); r_stats = None; r_gc = None }
+  let unrun outcome = { r_outcome = outcome; r_stats = None; r_gc = None } in
+  match Program.load ~fuel ~engine p with
+  | exception Machine.Machine_error m -> unrun (Fault m)
+  | exception Invalid_argument m -> unrun (Fault ("undecodable result: " ^ m))
+  | m, _ -> (
+      let stopped outcome =
+        { r_outcome = outcome; r_stats = Some (Machine.stats m); r_gc = None }
+      in
+      match Machine.run m with
+      | exception Machine.Out_of_fuel -> stopped Timeout
+      | exception Machine.Machine_error msg ->
+          (* a wild memory fault, as opposed to a checked [Abort]: its
+             message embeds the faulting pc, which is layout-dependent,
+             so faults are only comparable between runs of the same
+             image *)
+          stopped (Fault msg)
+      | stop ->
+          let outcome =
+            match stop with
+            | Machine.Aborted code -> Abort (Program.abort_message code)
+            | Machine.Halted w -> (
+                match Program.decode p m w with
+                | v -> Value (Program.hval_to_string v)
+                | exception Machine.Machine_error msg -> Fault msg
+                | exception Invalid_argument msg ->
+                    (* an unchecked run can terminate normally with a
+                       garbage word in the result register; the host-side
+                       value decoder rejects it *)
+                    Fault ("undecodable result: " ^ msg))
+          in
+          let peek lbl =
+            Machine.peek m (Image.data_address p.Program.image lbl)
+          in
+          {
+            (stopped outcome) with
+            r_gc = Some (peek Layout.l_gc_count, peek Layout.l_gc_copied);
+          })
 
 let outcome_equal a b =
   match (a, b) with

@@ -22,6 +22,7 @@
 module Scheme := Tagsim_tags.Scheme
 module Support := Tagsim_tags.Support
 module Machine := Tagsim_sim.Machine
+module Stats := Tagsim_sim.Stats
 module Program := Tagsim_compiler.Program
 
 type matrix = {
@@ -57,6 +58,21 @@ type outcome =
   | Compile_error of string
 
 val outcome_to_string : outcome -> string
+
+(** What one engine run observed: the outcome, the statistics and the
+    GC counters.  The statistics are kept for [Timeout] and [Fault]
+    too, since the machine outlives the exception and every engine
+    stops at the same retirement count; only the GC counters, read
+    from memory, need a normal stop. *)
+type run = {
+  r_outcome : outcome;
+  r_stats : Stats.t option;
+  r_gc : (int * int) option;
+}
+
+(** Load and run a compiled program under one engine, with [fuel]
+    retirements. *)
+val run_engine : fuel:int -> engine:Machine.engine -> Program.t -> run
 
 type divergence = {
   d_scheme : Scheme.t;

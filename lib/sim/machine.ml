@@ -21,6 +21,7 @@ module Annot = Tagsim_mipsx.Annot
 module Reg = Tagsim_mipsx.Reg
 module Word = Tagsim_mipsx.Word
 module Image = Tagsim_asm.Image
+module Metrics = Tagsim_metrics.Metrics
 
 exception Machine_error of string
 
@@ -518,56 +519,37 @@ let run_reference t =
   in
   loop ()
 
-(* Process-wide trace-engine instrumentation.  The run loop accumulates
-   locally and flushes once per [run] call (in a [Fun.protect] finally,
-   so an [Out_of_fuel] or abort-path exception still reports), keeping
-   atomics off the hot path. *)
+(* The trace counters (see machine.mli).  The run loop counts in locals
+   and flushes once per [run], in its [finally]. *)
 type trace_totals = {
   tt_formed : int;
   tt_entries : int;
   tt_side_exits : int;
-  tt_in_trace : int; (* retirements inside traces *)
-  tt_retired : int; (* retirements (fuel units) by traced runs, total *)
-  tt_insns : int; (* instructions executed by traced runs (Stats.insns) *)
-  tt_form_s : float; (* wall time inside [Trace.form], summed over domains *)
-  tt_form_words : int; (* minor-heap words allocated inside [Trace.form] *)
+  tt_in_trace : int;
+  tt_retired : int;
+  tt_insns : int;
+  tt_form_s : float;
+  tt_form_words : int;
 }
 
-let tt_formed_a = Atomic.make 0
-let tt_entries_a = Atomic.make 0
-let tt_side_exits_a = Atomic.make 0
-let tt_in_trace_a = Atomic.make 0
-let tt_retired_a = Atomic.make 0
-let tt_insns_a = Atomic.make 0
-let tt_form_ns_a = Atomic.make 0
-let tt_form_words_a = Atomic.make 0
-
-let note_formation ~formed ~ns ~words =
-  if formed then Atomic.incr tt_formed_a;
-  ignore (Atomic.fetch_and_add tt_form_ns_a ns);
-  ignore (Atomic.fetch_and_add tt_form_words_a words)
+let tc_entries = Metrics.counter "trace.entered"
+let tc_side_exits = Metrics.counter "trace.side_exits"
+let tc_in_trace = Metrics.counter "trace.in_trace"
+let tc_retired = Metrics.counter "trace.retired"
+let tc_insns = Metrics.counter "trace.insns"
 
 let trace_counters () =
+  let n name = Metrics.get (Metrics.counter name) in
   {
-    tt_formed = Atomic.get tt_formed_a;
-    tt_entries = Atomic.get tt_entries_a;
-    tt_side_exits = Atomic.get tt_side_exits_a;
-    tt_in_trace = Atomic.get tt_in_trace_a;
-    tt_retired = Atomic.get tt_retired_a;
-    tt_insns = Atomic.get tt_insns_a;
-    tt_form_s = float_of_int (Atomic.get tt_form_ns_a) *. 1e-9;
-    tt_form_words = Atomic.get tt_form_words_a;
+    tt_formed = n "trace.formed";
+    tt_entries = n "trace.entered";
+    tt_side_exits = n "trace.side_exits";
+    tt_in_trace = n "trace.in_trace";
+    tt_retired = n "trace.retired";
+    tt_insns = n "trace.insns";
+    tt_form_s = Metrics.seconds (Metrics.counter "trace.form_s");
+    tt_form_words = n "trace.form_words";
   }
-
-let reset_trace_counters () =
-  Atomic.set tt_formed_a 0;
-  Atomic.set tt_entries_a 0;
-  Atomic.set tt_side_exits_a 0;
-  Atomic.set tt_in_trace_a 0;
-  Atomic.set tt_retired_a 0;
-  Atomic.set tt_insns_a 0;
-  Atomic.set tt_form_ns_a 0;
-  Atomic.set tt_form_words_a 0
 
 (* --- Counted deltas.  Sums commute, so a trace does not add its
    deltas into [stats] as it runs: its closures count them (+1 applied,
@@ -757,13 +739,11 @@ let run_traced t ts =
   Fun.protect
     ~finally:(fun () ->
       fold_counts t ts;
-      if !entries > 0 then begin
-        ignore (Atomic.fetch_and_add tt_entries_a !entries);
-        ignore (Atomic.fetch_and_add tt_side_exits_a !side_exits);
-        ignore (Atomic.fetch_and_add tt_in_trace_a !in_trace)
-      end;
-      ignore (Atomic.fetch_and_add tt_retired_a (fuel0 - t.fuel));
-      ignore (Atomic.fetch_and_add tt_insns_a (t.stats.Stats.insns - insns0)))
+      Metrics.add tc_entries !entries;
+      Metrics.add tc_side_exits !side_exits;
+      Metrics.add tc_in_trace !in_trace;
+      Metrics.add tc_retired (fuel0 - t.fuel);
+      Metrics.add tc_insns (t.stats.Stats.insns - insns0))
     dispatch
 
 let run t =

@@ -225,32 +225,29 @@ val register_delta : tstate -> delta -> int
 (** [fold_delta s d n] adds [n] times [d] into [s]. *)
 val fold_delta : Stats.t -> delta -> int -> unit
 
-(** {1 Trace-engine instrumentation}
+(** {1 Trace-engine counters}
 
-    Process-wide counters for the [`Traced] engine, accumulated across
-    all domains once per {!run} (diagnostics only — they do not feed the
-    paper's statistics). *)
+    The traced loop adds its [trace.*] counts to
+    {!Tagsim_metrics.Metrics} once per {!run}, even when the run ends by
+    an exception; {!Trace} adds its formation counts per attempt.
+    Diagnostics only: they do not feed the paper's statistics. *)
 
+(** The trace counters as one record: a view over the registry, kept
+    only for tagbench/, which still reads it; the benchmark change of
+    ROADMAP item 3 removes it. *)
 type trace_totals = {
-  tt_formed : int;  (** superblock traces formed *)
-  tt_entries : int;  (** trace entries *)
-  tt_side_exits : int;  (** trace exits off the expected path *)
-  tt_in_trace : int;  (** retirements inside traces *)
+  tt_formed : int;  (** [trace.formed]: superblock traces formed *)
+  tt_entries : int;  (** [trace.entered] *)
+  tt_side_exits : int;  (** [trace.side_exits]: exits off the expected path *)
+  tt_in_trace : int;  (** [trace.in_trace]: retirements inside traces *)
   tt_retired : int;
-      (** retirements (fuel units) by traced runs, total: a control
-          instruction retires with its delay slots *)
-  tt_insns : int;
-      (** instructions executed by traced runs, as {!Stats} counts them *)
+      (** [trace.retired]: retirements (fuel units) by traced runs; a
+          control instruction retires with its delay slots *)
+  tt_insns : int;  (** [trace.insns]: {!Stats} instructions of traced runs *)
   tt_form_s : float;
-      (** wall time spent forming traces (growth and compilation, failed
-          attempts included), summed over domains *)
-  tt_form_words : int;
-      (** minor-heap words allocated while forming traces *)
+      (** [trace.form_s]: time spent forming traces, failed attempts
+          included, summed over domains *)
+  tt_form_words : int;  (** [trace.form_words]: minor-heap words of formation *)
 }
 
-(** Called by {!Trace} after each formation attempt: whether a trace
-    was installed, and the nanoseconds and minor-heap words it took. *)
-val note_formation : formed:bool -> ns:int -> words:int -> unit
-
 val trace_counters : unit -> trace_totals
-val reset_trace_counters : unit -> unit

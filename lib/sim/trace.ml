@@ -41,6 +41,7 @@ module M = Machine
 module Insn = Tagsim_mipsx.Insn
 module Reg = Tagsim_mipsx.Reg
 module Image = Tagsim_asm.Image
+module Metrics = Tagsim_metrics.Metrics
 
 (* Entries before a leader is considered hot. *)
 let default_threshold = 32
@@ -471,6 +472,10 @@ let plan_of_segs (segs : seg array) exit_pc : Plan.trace =
 
 (* --- Formation (called by the run loop at the hot threshold). --- *)
 
+let formed = Metrics.counter "trace.formed"
+let form_s = Metrics.counter "trace.form_s"
+let form_words = Metrics.counter "trace.form_words"
+
 (* Formation is timed and its allocation counted for the [traces:]
    diagnostics; [Gc.minor_words] is per domain, so the difference is
    this call's own allocation even while other domains run. *)
@@ -478,25 +483,20 @@ let form (t : M.t) head =
   match t.M.tstate with
   | None -> ()
   | Some ts ->
-      if ts.M.ts_traces.(head) = None then begin
-        let t0 = Unix.gettimeofday () and w0 = Gc.minor_words () in
-        let formed =
-          match grow t ts head with
-          | Ok (segs, exit_pc) ->
-              ts.M.ts_traces.(head) <- Some (compile_trace t ts segs exit_pc);
-              ts.M.ts_plans <- plan_of_segs segs exit_pc :: ts.M.ts_plans;
-              true
-          | Error retryable ->
-              (* Retryable heads re-arm the heat counter and try again
-                 once more edge profile has accumulated; structural
-                 failures stay saturated so the check never repeats. *)
-              if retryable then ts.M.ts_heat.(head) <- 0;
-              false
-        in
-        M.note_formation ~formed
-          ~ns:(int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-          ~words:(int_of_float (Gc.minor_words () -. w0))
-      end
+      if ts.M.ts_traces.(head) = None then
+        Metrics.time form_s (fun () ->
+            let w0 = Gc.minor_words () in
+            (match grow t ts head with
+            | Ok (segs, exit_pc) ->
+                ts.M.ts_traces.(head) <- Some (compile_trace t ts segs exit_pc);
+                ts.M.ts_plans <- plan_of_segs segs exit_pc :: ts.M.ts_plans;
+                Metrics.add formed 1
+            | Error retryable ->
+                (* Retryable heads re-arm the heat counter and try again
+                   once more edge profile has accumulated; structural
+                   failures stay saturated so the check never repeats. *)
+                if retryable then ts.M.ts_heat.(head) <- 0);
+            Metrics.add form_words (int_of_float (Gc.minor_words () -. w0)))
 
 (* --- Attachment. --- *)
 

@@ -15,6 +15,10 @@ module Stats = Tagsim.Stats
 module Scheme = Tagsim.Scheme
 module Support = Tagsim.Support
 module Sched = Tagsim.Sched
+module Metrics = Tagsim.Metrics
+
+let simulations = Suite_store.simulations
+let cache_counters = Suite_store.cache_counters
 
 let test_dir = Filename.temp_dir "tagsim_cache_test" ""
 let rmdir_if_empty d = try Sys.rmdir d with Sys_error _ -> ()
@@ -26,7 +30,7 @@ let with_cache f =
   Cache.set_dir test_dir;
   Cache.set_enabled true;
   Cache.wipe ();
-  Cache.reset_counters ();
+  Metrics.reset ();
   Run.clear_cache ();
   Fun.protect
     ~finally:(fun () ->
@@ -55,14 +59,14 @@ let test_round_trip () =
   with_cache (fun () ->
       let c = config () in
       let computed = Run.run_config c in
-      let _, _, writes = Cache.counters () in
+      let _, _, writes = cache_counters () in
       Alcotest.(check int) "one write" 1 writes;
       (* Drop the in-process memo: the only way back is the store. *)
       Run.clear_cache ();
-      let before = Run.simulations () in
+      let before = simulations () in
       let reloaded = Run.run_config c in
-      Alcotest.(check int) "no recompute" before (Run.simulations ());
-      let hits, _, _ = Cache.counters () in
+      Alcotest.(check int) "no recompute" before (simulations ());
+      let hits, _, _ = cache_counters () in
       Alcotest.(check int) "one hit" 1 hits;
       check_measurement_equal "round-trip" computed reloaded)
 
@@ -73,9 +77,9 @@ let test_engine_agnostic () =
   with_cache (fun () ->
       let ref_m = Run.run_config (config ~engine:`Reference ()) in
       Run.clear_cache ();
-      let before = Run.simulations () in
+      let before = simulations () in
       let traced_m = Run.run_config (config ~engine:`Traced ()) in
-      Alcotest.(check int) "served from store" before (Run.simulations ());
+      Alcotest.(check int) "served from store" before (simulations ());
       check_measurement_equal "cross-engine" ref_m traced_m)
 
 (* --- corrupt and truncated entries fall back to recompute --- *)
@@ -86,12 +90,12 @@ let damaged_entry_recomputes what damage =
       let computed = Run.run_config c in
       damage (Cache.entry_path (Run.cache_key c));
       Run.clear_cache ();
-      Cache.reset_counters ();
-      let before = Run.simulations () in
+      Metrics.reset ();
+      let before = simulations () in
       let recomputed = Run.run_config c in
       Alcotest.(check int) (what ^ ": recomputed") (before + 1)
-        (Run.simulations ());
-      let hits, misses, writes = Cache.counters () in
+        (simulations ());
+      let hits, misses, writes = cache_counters () in
       Alcotest.(check int) (what ^ ": no hit") 0 hits;
       Alcotest.(check int) (what ^ ": one miss") 1 misses;
       Alcotest.(check int) (what ^ ": rewritten") 1 writes;
@@ -126,15 +130,21 @@ let test_truncated_entry () =
       close_in ic;
       overwrite path text)
 
-(* The same payload, written by a build with another code digest. *)
+(* The same payload, which parses, written by a build with another code
+   digest, and by the old hand-bumped version 1: only the header's
+   stamp check can reject either. *)
 let test_stale_version_entry () =
-  damaged_entry_recomputes "stale-version" (fun path ->
-      write_as ~stamp:"v0-something-else" path (body_of path))
+  List.iter
+    (fun stamp ->
+      damaged_entry_recomputes ("stale-version " ^ stamp) (fun path ->
+          write_as ~stamp path (body_of path)))
+    [ "v0-something-else"; "1" ]
 
 (* A faithful entry of the old hand-bumped version 1 — three-int meta
    line, stamp 1 in the header — planted at the current key's path can
-   never satisfy a lookup: the header check rejects it before the meta
-   line is even reached. *)
+   never satisfy a lookup.  [stale-version] guards the header's stamp
+   check; this case guards the payload parser behind it, which rejects
+   the old meta line even if a header check let the entry through. *)
 let test_previous_version_entry () =
   damaged_entry_recomputes "previous-version" (fun path ->
       let downgrade line =
@@ -176,11 +186,11 @@ let test_no_cache_bypass () =
   with_cache (fun () ->
       Cache.set_enabled false;
       let c = config ~support:(Support.with_checking Support.software) () in
-      let before = Run.simulations () in
+      let before = simulations () in
       ignore (Run.run_config c);
-      Alcotest.(check int) "still simulates" (before + 1) (Run.simulations ());
+      Alcotest.(check int) "still simulates" (before + 1) (simulations ());
       Alcotest.(check (triple int int int)) "no cache traffic" (0, 0, 0)
-        (Cache.counters ());
+        (cache_counters ());
       Alcotest.(check bool) "no entry written" false
         (Sys.file_exists (Cache.entry_path (Run.cache_key c))))
 
@@ -199,7 +209,7 @@ let test_cold_fanout_writes_only_entries () =
   Plan.set_dir (Filename.concat root "plan");
   Cache.set_enabled true;
   Plan.set_enabled true;
-  Cache.reset_counters ();
+  Metrics.reset ();
   Run.clear_cache ();
   Fun.protect
     ~finally:(fun () ->
@@ -210,7 +220,7 @@ let test_cold_fanout_writes_only_entries () =
     (fun () ->
       ignore (Planner.plan ~jobs:1 [ Option.get (Planner.find "table3") ]);
       Alcotest.(check (triple int int int)) "measurements: cold" (0, 10, 10)
-        (Cache.counters ());
+        (cache_counters ());
       let names dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
       let entries, others =
         List.partition (fun n -> Filename.check_suffix n ".entry") (names root)

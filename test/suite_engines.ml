@@ -32,6 +32,7 @@ module Support = Tagsim.Support
 module Run = Tagsim.Analysis.Run
 module B = Tagsim.Benchmarks
 module Machine = Tagsim.Machine
+module Metrics = Tagsim.Metrics
 module Fuse = Tagsim.Fuse
 module Trace = Tagsim.Trace
 module Insn = Tagsim.Insn
@@ -40,6 +41,9 @@ module Buf = Tagsim.Buf
 module Sched = Tagsim.Sched
 module Image = Tagsim.Image
 module L = Tagsim.Layout
+
+(* A registry count, read by name. *)
+let count name = Metrics.(get (counter name))
 
 let check_result name (a : P.result) (b : P.result) =
   Alcotest.(check (option string))
@@ -384,25 +388,22 @@ let test_trace_promotion () =
   Alcotest.(check int) "cold loop: no trace" 0
     (run_and_count 1_000_000);
   Alcotest.(check bool) "hot loop: trace formed" true (run_and_count 4 > 0);
-  let tt0 = Machine.trace_counters () in
+  let names = [ "trace.formed"; "trace.entered"; "trace.in_trace" ] in
+  let tt0 = List.map count names in
   let r = check_three "trace-promotion" ~threshold:4 image in
   expect_outcome "trace-promotion" "halted 50" r;
-  let tt1 = Machine.trace_counters () in
   Alcotest.(check bool) "trace counters advanced" true
-    (tt1.Machine.tt_formed > tt0.Machine.tt_formed
-    && tt1.Machine.tt_entries > tt0.Machine.tt_entries
-    && tt1.Machine.tt_in_trace > tt0.Machine.tt_in_trace)
+    (List.for_all2 ( < ) tt0 (List.map count names))
 
 (* The loop's final iteration mispredicts the back branch: a side exit
    must roll the pre-summed trace statistics back to the exact per-block
    deltas. *)
 let test_trace_side_exit () =
-  let tt0 = Machine.trace_counters () in
+  let exits0 = count "trace.side_exits" in
   let r = check_three "trace-side-exit" ~threshold:4 (counted_loop 37) in
   expect_outcome "trace-side-exit" "halted 37" r;
-  let tt1 = Machine.trace_counters () in
   Alcotest.(check bool) "side exit taken" true
-    (tt1.Machine.tt_side_exits > tt0.Machine.tt_side_exits)
+    (count "trace.side_exits" > exits0)
 
 (* A squashing back branch: the trace pre-sums the slots of the
    expected taken path; the final not-taken iteration side-exits and
@@ -715,12 +716,11 @@ let test_trace_stack_overflow () =
   in
   List.iter
     (fun (name, in_slots) ->
-      let tt0 = Machine.trace_counters () in
+      let in_trace0 = count "trace.in_trace" in
       let r = check_three name ~threshold:2 ~setup (recursion ~in_slots) in
       expect_outcome name (Printf.sprintf "aborted %d" Machine.err_stack) r;
-      let tt1 = Machine.trace_counters () in
       Alcotest.(check bool) (name ^ ": ran in traces") true
-        (tt1.Machine.tt_in_trace > tt0.Machine.tt_in_trace))
+        (count "trace.in_trace" > in_trace0))
     [ ("stack-overflow-line", false); ("stack-overflow-slot", true) ]
 
 (* A fuel sweep through an indirect-jump side exit.  A hot loop calls
@@ -757,11 +757,10 @@ let test_trace_fuel_sweep () =
     let halted = if ro = `Fuel then 0 else halted + 1 in
     if halted < 3 then sweep (fuel + 1) halted
   in
-  let tt0 = Machine.trace_counters () in
+  let exits0 = count "trace.side_exits" in
   sweep 1 0;
-  let tt1 = Machine.trace_counters () in
   Alcotest.(check bool) "fuel-sweep: side exits taken" true
-    (tt1.Machine.tt_side_exits > tt0.Machine.tt_side_exits)
+    (count "trace.side_exits" > exits0)
 
 (* A hot loop whose back branch holds a non-trapping generic add in its
    first slot and a load in its second, read by the loop's first
@@ -916,7 +915,7 @@ let test_formation_determinism () =
         let program =
           P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
         in
-        let before = (Machine.trace_counters ()).Machine.tt_formed in
+        let before = count "trace.formed" in
         let r = P.run ~engine:`Traced program in
         Alcotest.(check (option string)) (name ^ ": no abort") None r.P.abort;
         let plans =
@@ -924,7 +923,7 @@ let test_formation_determinism () =
           | Some ts -> ts.Machine.ts_plans
           | None -> Alcotest.failf "%s: no trace state" name
         in
-        (plans, (Machine.trace_counters ()).Machine.tt_formed - before)
+        (plans, count "trace.formed" - before)
       in
       let plans1, formed1 = formed_by () in
       let plans2, formed2 = formed_by () in
@@ -1179,12 +1178,12 @@ let test_formation_alloc_budget () =
       let program =
         P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
       in
-      let tt0 = Machine.trace_counters () in
+      let formed0 = count "trace.formed" in
+      let words0 = count "trace.form_words" in
       let r = P.run ~engine:`Traced program in
-      let tt1 = Machine.trace_counters () in
       Alcotest.(check (option string)) (name ^ ": no abort") None r.P.abort;
-      let formed = tt1.Machine.tt_formed - tt0.Machine.tt_formed in
-      let words = tt1.Machine.tt_form_words - tt0.Machine.tt_form_words in
+      let formed = count "trace.formed" - formed0 in
+      let words = count "trace.form_words" - words0 in
       Alcotest.(check bool) (name ^ ": traces formed") true (formed > 0);
       let per_trace = words / formed in
       if per_trace * 10 > dense_words * 4 then

@@ -386,6 +386,33 @@ let test_hw_type_error_message () =
   Alcotest.(check (option string))
     "hardware check reports type error" (Some "type error") r.Program.abort
 
+(* A run that exhausts its fuel inside a hot loop keeps its statistics
+   on both engines, and they are equal: the traced leg pre-pays each
+   trace's fuel and steps the head instead when it cannot, so it stops
+   at the reference's retirement count. *)
+let test_timeout_keeps_stats () =
+  let p =
+    Program.compile ~sizes:Gen.sizes ~scheme:Scheme.high5 ~support:chk
+      "(de spin (n acc) (if (greaterp n 0) (spin (- n 1) (+ acc 1)) acc))\n\
+       (de main () (spin 100000 0))"
+  in
+  let entered () = Tagsim.Metrics.(get (counter "trace.entered")) in
+  let run engine = Cross.run_engine ~fuel:50_000 ~engine p in
+  let reference = run `Reference in
+  let entered0 = entered () in
+  let traced = run `Traced in
+  Alcotest.(check bool) "the traced leg ran in traces" true
+    (entered () > entered0);
+  List.iter
+    (fun (leg, (r : Cross.run)) ->
+      Alcotest.(check string) (leg ^ " outcome") "timeout (out of fuel)"
+        (Cross.outcome_to_string r.Cross.r_outcome))
+    [ ("reference", reference); ("traced", traced) ];
+  match (reference.Cross.r_stats, traced.Cross.r_stats) with
+  | Some a, Some b ->
+      Alcotest.(check bool) "equal stats" true (Tagsim.Stats.equal a b)
+  | _ -> Alcotest.fail "a timeout dropped its stats"
+
 let suite =
   [
     ( "fuzz",
@@ -435,5 +462,7 @@ let suite =
           test_arity_abort_message;
         Alcotest.test_case "hw-type-error-message" `Quick
           test_hw_type_error_message;
+        Alcotest.test_case "timeout-keeps-stats" `Quick
+          test_timeout_keeps_stats;
       ] );
   ]

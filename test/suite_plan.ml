@@ -54,17 +54,57 @@ let test_planner_dedup () =
      overlap between the four artifacts collapses to six cells. *)
   Alcotest.(check int) "expected distinct cells" 6 distinct;
   Run.clear_cache ();
-  Run.reset_simulations ();
+  Tagsim.Metrics.reset ();
   let rendered = Planner.plan ~jobs:1 ~entries arts in
   Alcotest.(check int) "one simulation per distinct config" distinct
-    (Run.simulations ());
+    (Tagsim.Metrics.(get (counter "run.simulations")));
   Alcotest.(check int) "every artifact rendered" (List.length arts)
     (List.length rendered);
   (* A second plan over the same matrix hits the memo cache: no new
      simulations at all. *)
   ignore (Planner.plan ~jobs:1 ~entries arts);
   Alcotest.(check int) "replanning simulates nothing" distinct
-    (Run.simulations ())
+    (Tagsim.Metrics.(get (counter "run.simulations")))
+
+(* --- the counter registry: one reset clears every family, and the
+   counts of a plan do not depend on the job count --- *)
+
+(* The count-type counters a plan moves (the timers vary from run to
+   run).  Each configuration compiles its own program, so no trace state
+   is shared between domains and every count is exact. *)
+let plan_counts =
+  [
+    "run.simulations"; "trace.formed"; "trace.entered"; "trace.side_exits";
+    "trace.in_trace"; "trace.retired"; "trace.insns";
+  ]
+
+let test_metrics_jobs () =
+  let module M = Tagsim.Metrics in
+  let module Cache = Tagsim.Analysis.Cache in
+  let table3 = [ Option.get (Planner.find "table3") ] in
+  let counts jobs =
+    M.reset ();
+    let snapshot = M.snapshot () in
+    List.iter
+      (fun (name, v) -> Alcotest.(check int) (name ^ " after reset") 0 v)
+      snapshot;
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (name ^ " registered") true
+          (List.mem_assoc name snapshot))
+      plan_counts;
+    Run.clear_cache ();
+    ignore (Planner.plan ~jobs ~entries:(B.all ()) table3);
+    List.map (fun name -> (name, M.get (M.counter name))) plan_counts
+  in
+  let enabled = Cache.enabled () in
+  Cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Cache.set_enabled enabled) (fun () ->
+      let serial = counts 1 in
+      Alcotest.(check bool) "the plan simulates and forms traces" true
+        (List.for_all (fun (_, v) -> v > 0) serial);
+      Alcotest.(check (list (pair string int)))
+        "jobs:2 counts equal jobs:1" serial (counts 2))
 
 (* --- golden numbers: full plan, reference engine, reduced suite --- *)
 
@@ -187,6 +227,8 @@ let suite =
         Alcotest.test_case "planner-registry" `Quick test_planner_registry;
         Alcotest.test_case "results-json-shape" `Quick test_results_json_shape;
         Alcotest.test_case "planner-dedup" `Slow test_planner_dedup;
+        Alcotest.test_case "metrics-independent-of-jobs" `Slow
+          test_metrics_jobs;
         Alcotest.test_case "golden-numbers" `Slow test_golden_numbers;
       ] );
   ]

@@ -11,6 +11,13 @@ module Run = Tagsim.Analysis.Run
 module Cache = Tagsim.Analysis.Cache
 module Scheme = Tagsim.Scheme
 module Support = Tagsim.Support
+module Metrics = Tagsim.Metrics
+
+(* The registry's counts, read by name. *)
+let count name = Metrics.(get (counter name))
+let simulations () = count "run.simulations"
+let cache_counters () =
+  (count "cache.hits", count "cache.misses", count "cache.writes")
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -89,11 +96,11 @@ let each_fault path damage =
 
 (* The lookup of [path] is exactly one counted miss and no hit. *)
 let expect_miss path what =
-  Cache.reset_counters ();
+  Metrics.reset ();
   (match load path with
   | None -> ()
   | Some _ -> Alcotest.failf "%s loaded" what);
-  let hits, misses, _ = Cache.counters () in
+  let hits, misses, _ = cache_counters () in
   if hits <> 0 || misses <> 1 then
     Alcotest.failf "%s counted %d hits, %d misses" what hits misses
 
@@ -163,9 +170,9 @@ let test_read_only_dir () =
           rm_rf ro)
         (fun () ->
           Cache.set_dir target;
-          Cache.reset_counters ();
+          Metrics.reset ();
           Cache.store (key_of path) payload;
-          let _, _, writes = Cache.counters () in
+          let _, _, writes = cache_counters () in
           Alcotest.(check int) "no write" 0 writes;
           expect_miss
             (Cache.entry_path (key_of path))
@@ -219,12 +226,12 @@ let test_meta_flip_recomputes () =
       Bytes.set b at '1';
       overwrite path (Bytes.to_string b);
       Run.clear_cache ();
-      Cache.reset_counters ();
-      let before = Run.simulations () in
+      Metrics.reset ();
+      let before = simulations () in
       let m = Run.run_config (config ()) in
-      Alcotest.(check int) "recomputed" (before + 1) (Run.simulations ());
+      Alcotest.(check int) "recomputed" (before + 1) (simulations ());
       Alcotest.(check (triple int int int)) "one miss, one rewrite" (0, 1, 1)
-        (Cache.counters ());
+        (cache_counters ());
       Alcotest.(check int) "procedures" 9 m.Run.meta.Tagsim.Program.procedures;
       Alcotest.(check string) "undamaged bytes rewritten" text
         (read_file path))
