@@ -112,12 +112,6 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  mutable tstate_cache : Machine.tstate option;
-      (* the traced engine's leader bitmap, heat/edge profile and formed
-         traces, built on the first traced [load] and shared by every
-         later machine for this program, so traces learned by one run
-         serve the next (traces capture only the image and the hardware
-         configuration, both fixed per program, never the machine) *)
 }
 
 let count_lines src =
@@ -317,7 +311,6 @@ let compile_frontend ?(backend = `Incremental) ?(opt = `None)
     sizes;
     mem_bytes;
     meta;
-    tstate_cache = None;
   }
 
 let compile ?backend ?opt ?sched ?sizes ?mem_bytes ~scheme ~support source : t =
@@ -415,16 +408,7 @@ let plan_key (_ : t) = ""
 let load ?fuel ?(engine = `Traced) t =
   let hw = Scheme.machine_hw ~mem_bytes:t.mem_bytes t.scheme in
   let m = Machine.create ?fuel ~hw t.image in
-  let code_len = Array.length t.image.Image.code in
-  (match engine with
-  | `Reference -> ()
-  | `Traced ->
-      (match t.tstate_cache with
-      | Some ts when Array.length ts.Machine.ts_traces = code_len ->
-          m.Machine.tstate <- Some ts
-      | _ -> ());
-      Trace.attach m;
-      t.tstate_cache <- m.Machine.tstate);
+  (match engine with `Reference -> () | `Traced -> Trace.attach m);
   let map =
     L.compute_map ~data_end:t.image.Image.data_end ~sizes:t.sizes
       ~mem_bytes:t.mem_bytes

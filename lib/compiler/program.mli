@@ -31,10 +31,6 @@ type t = {
   sizes : L.sizes;
   mem_bytes : int;
   meta : meta;
-  (* The traced engine's state, built on the first traced [load] and
-     shared by every later machine for this program (its traces capture
-     only the image and hardware configuration, never a machine). *)
-  mutable tstate_cache : Machine.tstate option;
 }
 
 (** {1 Staged pipeline}
@@ -133,10 +129,9 @@ val plan_key : t -> string
     handlers; ready to run from address 0.  [engine] selects the
     simulator engine (default [`Traced], the fast path; [`Reference]
     attaches nothing and runs the oracle interpreter; both produce
-    bit-identical statistics).  Under [`Traced], every machine of a
-    program shares one block array and one trace-engine state, so traces
-    formed by one run serve the next in the same process; they are never
-    persisted. *)
+    bit-identical statistics).  Under [`Traced], each machine gets
+    trace-engine state of its own ({!Trace.attach}): it forms its own
+    traces, and none are persisted. *)
 val load : ?fuel:int -> ?engine:Machine.engine -> t -> Machine.t * L.map
 
 (** [run] is [load] + [Machine.run] + result decoding. *)

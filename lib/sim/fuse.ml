@@ -188,8 +188,8 @@ let compress a : M.delta =
   d
 
 (* Add [n] (+1 applied, -1 undone) to delta [id]'s count in the running
-   machine.  The trace entry sized [t.counts] to the trace's ids, so the
-   unchecked accesses cannot go wrong. *)
+   machine.  [Machine.register_delta] sized [t.counts] to cover [id], so
+   the unchecked accesses cannot go wrong. *)
 let count id n (t : M.t) =
   let c = t.M.counts in
   Array.unsafe_set c id (Array.unsafe_get c id + n)

@@ -92,7 +92,7 @@ val acc_add : acc -> ustat -> unit
 val compress : acc -> Machine.delta
 
 (** [count id n] adds [n] (+1 applied, -1 undone) to delta [id]'s
-    count in the running machine; the trace entry has sized [counts]. *)
+    count in the running machine; registration has sized [counts]. *)
 val count : int -> int -> Machine.t -> unit
 
 (** Registers read by an instruction as a pre-resolved pair (at most

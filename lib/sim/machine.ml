@@ -98,25 +98,22 @@ type t = {
          [stats] and zeroed when [run] returns *)
 }
 
-(* Trace-engine state, one per attached code image (shareable between
-   machines running the same image).  [ts_leader] marks the basic-block
-   leaders ({!Fuse.leaders}), the only pcs that are profiled and can
-   head a trace or a trace segment.  [ts_heat] counts entries per leader
-   while non-negative; crossing [ts_threshold] saturates the counter to
-   [min_int] and calls [ts_form], which either
-   installs a superblock trace in [ts_traces] (permanently hot) or —
-   when the head could become formable once more edge profile
-   accumulates — resets the counter to retry.  [ts_succ1]/[ts_cnt1] and
-   [ts_succ2]/[ts_cnt2] are a two-entry successor profile per leader
-   (CLOCK-style decay on conflict), consulted by trace formation to pick
-   the dominant path.  All of it is racily shared across domains by
-   design: a torn or stale read can only delay or re-run formation,
-   never corrupt execution — a memoised trace is validated against its
-   immutable [tr_pc] before it runs.
-   [ts_plans] mirrors [ts_traces] as pure data: one [Plan.trace] per
-   formed trace.  [ts_dirty] is never set: it stays only for tagbench/,
-   which still reads it.  [ts_deltas] holds the delta of each id the
-   traces count (the first [ts_ndeltas] slots, used under [ts_lock]). *)
+(* Trace-engine state, owned by the one machine it is attached to.
+   [ts_leader] marks the basic-block leaders ({!Fuse.leaders}), the only
+   pcs that are profiled and can head a trace or a trace segment.
+   [ts_heat] counts entries per leader while non-negative; crossing
+   [ts_threshold] saturates the counter to [min_int] and calls
+   [ts_form], which either installs a superblock trace in [ts_traces]
+   (permanently hot) or — when the head could become formable once more
+   edge profile accumulates — resets the counter to retry.
+   [ts_succ1]/[ts_cnt1] and [ts_succ2]/[ts_cnt2] are a two-entry
+   successor profile per leader (CLOCK-style decay on conflict),
+   consulted by trace formation to pick the dominant path.  [ts_plans]
+   mirrors [ts_traces] as pure data: one [Plan.trace] per formed trace.
+   [ts_dirty] is never set: it stays only for tagbench/, which still
+   reads it.  [ts_deltas] holds the delta of each id the traces count
+   (the first [ts_ndeltas] slots); the machine's [counts] grows with
+   it. *)
 and tstate = {
   ts_leader : bool array;
   ts_traces : trace option array;
@@ -131,7 +128,6 @@ and tstate = {
   mutable ts_dirty : bool;
   mutable ts_deltas : delta array;
   mutable ts_ndeltas : int;
-  ts_lock : Mutex.t;
 }
 
 (* A compiled superblock trace: [tr_exec] retires the whole expected
@@ -141,15 +137,13 @@ and tstate = {
    already rolled statistics and fuel back to the exact values of the
    instructions that ran), or a negative value once the outcome is
    decided.  [tr_next] memoises the trace at [tr_exit] for direct trace
-   chaining (a loop trace chains to itself); the memo is validated
-   against the immutable [tr_pc], so a stale or torn read can only miss,
-   never run the wrong trace.  [tr_ids] bounds the delta ids it counts. *)
+   chaining (a loop trace chains to itself); an installed trace is never
+   replaced, so the memo never goes stale. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
-  tr_ids : int;
   mutable tr_next : trace option;
 }
 
@@ -570,36 +564,29 @@ let fold_delta (s : Stats.t) (d : delta) n =
   in
   pairs 5
 
-(* Machines in several domains may share a trace state while they form
-   traces, hence the lock. *)
-let register_delta ts (d : delta) =
-  Mutex.protect ts.ts_lock (fun () ->
-      let id = ts.ts_ndeltas in
-      if id = Array.length ts.ts_deltas then begin
-        let grown = Array.make (max 64 (2 * id)) [||] in
-        Array.blit ts.ts_deltas 0 grown 0 id;
-        ts.ts_deltas <- grown
-      end;
-      ts.ts_deltas.(id) <- d;
-      ts.ts_ndeltas <- id + 1;
-      id)
-
-let grow_counts t ids =
-  let counts = Array.make (max ids (2 * Array.length t.counts)) 0 in
-  Array.blit t.counts 0 counts 0 (Array.length t.counts);
-  t.counts <- counts
+(* [t.counts] grows in step with [ts.ts_deltas], so every registered id
+   has a count slot before a trace that counts it can run. *)
+let register_delta t ts (d : delta) =
+  let id = ts.ts_ndeltas in
+  if id = Array.length ts.ts_deltas then begin
+    let more = max 64 id in
+    ts.ts_deltas <- Array.append ts.ts_deltas (Array.make more [||]);
+    t.counts <- Array.append t.counts (Array.make more 0)
+  end;
+  ts.ts_deltas.(id) <- d;
+  ts.ts_ndeltas <- id + 1;
+  id
 
 (* A non-zero count belongs to a trace that ran, so its delta was
    registered before the trace was installed. *)
 let fold_counts t ts =
-  Mutex.protect ts.ts_lock (fun () ->
-      Array.iteri
-        (fun id n ->
-          if n <> 0 then begin
-            fold_delta t.stats ts.ts_deltas.(id) n;
-            t.counts.(id) <- 0
-          end)
-        t.counts)
+  Array.iteri
+    (fun id n ->
+      if n <> 0 then begin
+        fold_delta t.stats ts.ts_deltas.(id) n;
+        t.counts.(id) <- 0
+      end)
+    t.counts
 
 (* The traced loop, in two tiers.  At every dispatch point — the start
    of a run, a trace exit, and the end of a straight-line run — a formed
@@ -667,7 +654,6 @@ let run_traced t ts =
         if Array.unsafe_get leader pc then enter_leader pc else step_one ()
   and enter_trace tr =
     if t.fuel >= tr.tr_steps then begin
-      if tr.tr_ids > Array.length t.counts then grow_counts t tr.tr_ids;
       incr entries;
       let f0 = t.fuel in
       t.fuel <- f0 - tr.tr_steps;
@@ -676,8 +662,8 @@ let run_traced t ts =
       if pc >= 0 then
         if pc = tr.tr_exit then
           match tr.tr_next with
-          | Some nt when nt.tr_pc = pc -> enter_trace nt
-          | _ -> (
+          | Some nt -> enter_trace nt
+          | None -> (
               match if pc < n then Array.unsafe_get traces pc else None with
               | Some nt ->
                   tr.tr_next <- Some nt;

@@ -96,14 +96,12 @@ type t = {
     with decay, and the formed traces.  [ts_heat] saturates to
     [min_int] when a leader crosses [ts_threshold] and [ts_form] runs
     (installing a trace or, when more profile is needed, resetting the
-    counter to retry).  Shareable
-    between machines running the same image; racy profile updates only
-    delay or repeat formation, never corrupt execution.  [ts_plans]
-    mirrors [ts_traces] as pure data (one {!Plan.trace} per formed
-    trace, newest first).  [ts_dirty] is never set: it stays only for
+    counter to retry).  It belongs to the one machine it is attached
+    to.  [ts_plans] mirrors [ts_traces] as pure data (one {!Plan.trace}
+    per formed trace, newest first).  [ts_dirty] is never set: it stays only for
     tagbench/, which still reads it.  [ts_deltas] holds the delta of
-    each id the traces count (the first [ts_ndeltas] slots, used under
-    [ts_lock]); the counts belong to each machine. *)
+    each id the traces count (the first [ts_ndeltas] slots); the
+    machine's [counts] grows with it. *)
 and tstate = {
   ts_leader : bool array;
   ts_traces : trace option array;
@@ -118,7 +116,6 @@ and tstate = {
   mutable ts_dirty : bool;
   mutable ts_deltas : delta array;
   mutable ts_ndeltas : int;
-  ts_lock : Mutex.t;
 }
 
 (** A compiled superblock trace (built by {!Trace}): [tr_exec] retires
@@ -128,15 +125,13 @@ and tstate = {
     (statistics and fuel already rolled back to the exact values of
     what ran), or a negative value once the outcome is decided.
     [tr_next] memoises the trace at [tr_exit] for direct chaining (a
-    loop trace chains to itself), validated against the immutable
-    [tr_pc], so a stale or torn read can only miss.  [tr_exec] counts
-    delta ids below [tr_ids]; the run loop sizes [counts] to fit. *)
+    loop trace chains to itself); an installed trace is never
+    replaced, so the memo cannot go stale. *)
 and trace = {
   tr_pc : int; (* leader address of the trace head *)
   tr_steps : int;
   tr_exit : int; (* successor pc of the expected path *)
   tr_exec : t -> int;
-  tr_ids : int;
   mutable tr_next : trace option;
 }
 
@@ -218,9 +213,9 @@ val run : t -> outcome
 
 (** {1 Counted deltas} *)
 
-(** Register a delta in the trace state and return its id; safe
-    across domains. *)
-val register_delta : tstate -> delta -> int
+(** [register_delta m ts d] registers [d] in [m]'s trace state [ts] and
+    returns its id, growing [m]'s counts to cover it. *)
+val register_delta : t -> tstate -> delta -> int
 
 (** [fold_delta s d n] adds [n] times [d] into [s]. *)
 val fold_delta : Stats.t -> delta -> int -> unit

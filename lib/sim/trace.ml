@@ -224,13 +224,7 @@ let compile_trace (m : M.t) ts (segs : seg array) exit_pc : M.trace =
   let hw = m.M.hw in
   let code = m.M.code in
   let acc = Fuse.acc_create () and scratch = Fuse.acc_create () in
-  (* [ids]: one past the highest delta id this trace counts. *)
-  let ids = ref 0 in
-  let snap a =
-    let id = M.register_delta ts (Fuse.compress a) in
-    if id >= !ids then ids := id + 1;
-    id
-  in
+  let snap a = M.register_delta m ts (Fuse.compress a) in
   let snap_unit u =
     Fuse.acc_clear scratch;
     Fuse.acc_add scratch u;
@@ -446,7 +440,6 @@ let compile_trace (m : M.t) ts (segs : seg array) exit_pc : M.trace =
     M.tr_steps = !total_steps;
     M.tr_exit = exit_pc;
     M.tr_exec = exec;
-    M.tr_ids = !ids;
     M.tr_next = None;
   }
 
@@ -503,8 +496,8 @@ let form (t : M.t) head =
 let attach ?(threshold = default_threshold) (m : M.t) =
   let n = Array.length m.M.code in
   match m.M.tstate with
-  | Some ts when Array.length ts.M.ts_traces = n -> ()
-  | _ ->
+  | Some _ -> ()
+  | None ->
       m.M.tstate <-
         Some
           {
@@ -521,5 +514,4 @@ let attach ?(threshold = default_threshold) (m : M.t) =
             M.ts_dirty = false;
             M.ts_deltas = [||];
             M.ts_ndeltas = 0;
-            M.ts_lock = Mutex.create ();
           }

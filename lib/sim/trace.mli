@@ -31,10 +31,8 @@ val max_segments : int
 
 (** Install the trace-engine state — the leader bitmap
     ({!Fuse.leaders}), heat and edge-profile counters and the (initially
-    empty) trace table and delta registry — on the machine; idempotent,
-    guarded by the code length.  From then on [Machine.run] runs the
-    traced engine instead of the reference loop.  The state may be
-    shared between machines running the same image: a memoised trace
-    is validated before it runs, and racy profile updates only delay or
-    repeat formation. *)
+    empty) trace table and delta registry — on the machine, which owns
+    it.  From then on [Machine.run] runs the traced engine instead of
+    the reference loop.  Idempotent: re-attaching an attached machine
+    keeps its state, [threshold] included. *)
 val attach : ?threshold:int -> Machine.t -> unit

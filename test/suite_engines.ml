@@ -19,11 +19,11 @@
    slots — a generic add in a hot loop's slot, a label on such a branch,
    a control instruction, a generic-arithmetic trap, slots past the end
    of code — which no trace grows through and the reference [step]
-   runs, with identical machine errors.  Trace statistics are counted
-   per machine and folded when [run] returns: two domains sharing one
-   program's trace table, one program run twice, and one machine
-   resumed in fuel slices must each match the reference.  The parallel
-   measurement pool must likewise be oblivious to the worker count. *)
+   runs, with identical machine errors.  Every machine owns its trace
+   state, and its statistics are counted per machine and folded when
+   [run] returns: one program run twice, and one machine resumed in fuel
+   slices, must each match the reference.  The parallel measurement
+   pool must likewise be oblivious to the worker count. *)
 
 module P = Tagsim.Program
 module Stats = Tagsim.Stats
@@ -45,7 +45,22 @@ module L = Tagsim.Layout
 (* A registry count, read by name. *)
 let count name = Metrics.(get (counter name))
 
+(* The two cheap conservation laws of [Stats]: every cycle is charged to
+   one annotation slot or is an interlock, and every instruction is
+   counted in one class. *)
+let check_conservation name (s : Stats.t) =
+  let sum = Array.fold_left ( + ) 0 in
+  Alcotest.(check int)
+    (name ^ ": cycles = kind cycles + interlocks")
+    s.Stats.cycles
+    (sum s.Stats.kind_cycles + s.Stats.interlocks);
+  Alcotest.(check int)
+    (name ^ ": insns = class counts")
+    s.Stats.insns (sum s.Stats.klass_insns)
+
 let check_result name (a : P.result) (b : P.result) =
+  check_conservation (name ^ " (expected)") a.P.stats;
+  check_conservation name b.P.stats;
   Alcotest.(check (option string))
     (name ^ ": abort") a.P.abort b.P.abort;
   Alcotest.(check (option string))
@@ -67,10 +82,9 @@ let check_result name (a : P.result) (b : P.result) =
   Alcotest.(check int)
     (name ^ ": gc bytes copied") a.P.gc_bytes_copied b.P.gc_bytes_copied
 
-(* [P.run] on the traced engine at promotion threshold 2, with trace
-   state of its own (the program's shared state belongs to the
-   default-threshold leg), so traces form on the second entry of a
-   leader. *)
+(* [P.run] on the traced engine at promotion threshold 2, so traces form
+   on the second entry of a leader: the machine is loaded bare and
+   attached here, since [P.load] attaches at the default threshold. *)
 let run_hot (program : P.t) : P.result =
   let m, map = P.load ~engine:`Reference program in
   Trace.attach ~threshold:2 m;
@@ -327,21 +341,22 @@ let test_interlocks () =
   Alcotest.(check int) "interlock-across-blocks: one interlock" 1
     (snd r).Stats.interlocks
 
-(* Attaching the traced engine twice must not rebuild: the trace table
-   stays physically the same (a structural [= [||]] staleness test would
-   rebuild empty-code machines forever). *)
+(* Attaching the traced engine twice must not rebuild: the trace state
+   stays physically the same, threshold included. *)
 let test_attach_idempotent () =
   let image = assemble (fun b -> Buf.emit b Insn.Halt) in
   let m = Machine.create ~hw image in
   Trace.attach m;
-  let traces (m : Machine.t) =
+  let state (m : Machine.t) =
     match m.Machine.tstate with
-    | Some ts -> ts.Machine.ts_traces
+    | Some ts -> ts
     | None -> Alcotest.fail "attach installed no trace state"
   in
-  let table = traces m in
-  Trace.attach m;
-  Alcotest.(check bool) "trace table reused" true (table == traces m)
+  let ts = state m in
+  Trace.attach ~threshold:2 m;
+  Alcotest.(check bool) "trace state reused" true (ts == state m);
+  Alcotest.(check int) "threshold kept" Trace.default_threshold
+    (state m).Machine.ts_threshold
 
 (* --- Superblock traces: promotion, side exits, exactness. --- *)
 
@@ -635,23 +650,6 @@ let test_trace_mem_fault () =
     (Insn.St (Insn.Tag_ignoring, Reg.t4, Reg.t0, 0))
     "store fault"
 
-(* Attaching the traced engine twice must keep the same profile and
-   trace state (the length guard rebuilds only when the code
-   changes). *)
-let test_trace_attach_idempotent () =
-  let m = Machine.create ~hw (counted_loop 10) in
-  Trace.attach m;
-  let ts0 =
-    match m.Machine.tstate with
-    | Some ts -> ts
-    | None -> Alcotest.fail "attach installed no trace state"
-  in
-  Trace.attach m;
-  (match m.Machine.tstate with
-  | Some ts1 ->
-      Alcotest.(check bool) "trace state reused" true (ts0 == ts1)
-  | None -> Alcotest.fail "re-attach dropped the trace state")
-
 (* --- Uncompilable delay slots: raw slot contents the assembler never
    emits.  A block's shape stops before such a branch, so no trace grows
    through it, and the traced run loop steps the branch with its slots
@@ -905,7 +903,7 @@ let test_one_block_loop () =
    of one program, each run traced once, form the same traces in the
    same order — structurally equal [ts_plans] and the same number
    formed.  Nothing carries traces between the two copies, since every
-   program's trace state starts empty. *)
+   machine's trace state starts empty. *)
 let test_formation_determinism () =
   let support = Support.with_checking Support.software in
   List.iter
@@ -916,10 +914,13 @@ let test_formation_determinism () =
           P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
         in
         let before = count "trace.formed" in
-        let r = P.run ~engine:`Traced program in
-        Alcotest.(check (option string)) (name ^ ": no abort") None r.P.abort;
+        let m, _ = P.load program in
+        (match Machine.run m with
+        | Machine.Halted _ -> ()
+        | Machine.Aborted code ->
+            Alcotest.failf "%s: aborted: %s" name (P.abort_message code));
         let plans =
-          match program.P.tstate_cache with
+          match m.Machine.tstate with
           | Some ts -> ts.Machine.ts_plans
           | None -> Alcotest.failf "%s: no trace state" name
         in
@@ -1004,50 +1005,35 @@ let test_top_of_memory () =
   check_result "top-of-memory traced" reference
     (P.run ~engine:`Traced program)
 
-(* Counted deltas belong to the running machine, not to the trace state
-   that every later machine of a program shares.  Two domains running
-   one program at once form and enter traces in one shared table, and
-   each must still get the reference's statistics.  Formation races
-   are timing-dependent, so three programs each get a fresh table. *)
-let test_shared_trace_state () =
+(* Every machine owns its trace state: two traced loads of one program
+   get physically distinct states, running the first forms traces in
+   its state alone, and a run leaves its counts covering every
+   registered delta id. *)
+let test_trace_state_per_machine () =
+  let entry = B.find "inter" in
   let support = Support.with_checking Support.software in
-  List.iter
-    (fun name ->
-      let entry = B.find name in
-      let program =
-        P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
-      in
-      let reference = P.run ~engine:`Reference program in
-      (* Install the program's (still empty) trace state before either
-         domain starts, so that both run on it. *)
-      let ts =
-        match (fst (P.load program)).Machine.tstate with
-        | Some ts -> ts
-        | None -> Alcotest.fail "load attached no trace state"
-      in
-      let ready = Atomic.make 0 in
-      List.init 2 (fun _ ->
-          Domain.spawn (fun () ->
-              (* Start together, so that formation overlaps. *)
-              Atomic.incr ready;
-              while Atomic.get ready < 2 do
-                Domain.cpu_relax ()
-              done;
-              P.run ~engine:`Traced program))
-      |> List.map Domain.join
-      |> List.iteri (fun i r ->
-             check_result (Printf.sprintf "%s domain %d" name i) reference r);
-      Alcotest.(check bool)
-        (name ^ ": one shared trace state") true
-        (match program.P.tstate_cache with
-        | Some ts' -> ts' == ts
-        | None -> false);
-      Alcotest.(check bool)
-        (name ^ ": traces formed") true (ts.Machine.ts_plans <> []))
-    [ "inter"; "rat"; "comp" ]
+  let program =
+    P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
+  in
+  let state (m : Machine.t) =
+    match m.Machine.tstate with
+    | Some ts -> ts
+    | None -> Alcotest.fail "load attached no trace state"
+  in
+  let m1, _ = P.load program in
+  let m2, _ = P.load program in
+  Alcotest.(check bool) "distinct trace states" true (state m1 != state m2);
+  ignore (Machine.run m1);
+  Alcotest.(check bool) "first machine formed traces" true
+    ((state m1).Machine.ts_plans <> []);
+  Alcotest.(check bool) "second machine formed none" true
+    ((state m2).Machine.ts_plans = []);
+  let ts = state m1 in
+  Alcotest.(check bool) "counts cover every delta id" true
+    (Array.length m1.Machine.counts >= ts.Machine.ts_ndeltas)
 
 (* The fold zeroes the counts it folds.  One program run twice in a row
-   (the second run enters the traces the first formed) matches the
+   (the second run's machine forms traces of its own) matches the
    reference both times, and so does one machine resumed after
    [Out_of_fuel] in small fuel slices, each [run] folding only its own
    counts. *)
@@ -1224,8 +1210,6 @@ let suite =
           Alcotest.test_case "trace-stack-overflow" `Quick
             test_trace_stack_overflow;
           Alcotest.test_case "trace-fuel-sweep" `Quick test_trace_fuel_sweep;
-          Alcotest.test_case "trace-attach-idempotent" `Quick
-            test_trace_attach_idempotent;
           Alcotest.test_case "slot-gen-loop" `Quick test_slot_gen_loop;
           Alcotest.test_case "slot-gen-leader" `Quick test_slot_gen_leader;
           Alcotest.test_case "slot-control" `Quick test_slot_control;
@@ -1236,8 +1220,8 @@ let suite =
             test_formation_determinism;
           Alcotest.test_case "compress-round-trip" `Quick
             test_compress_round_trip;
-          Alcotest.test_case "shared-trace-state" `Quick
-            test_shared_trace_state;
+          Alcotest.test_case "trace-state-per-machine" `Quick
+            test_trace_state_per_machine;
           Alcotest.test_case "counts-folded-once" `Quick
             test_counts_folded_once;
           Alcotest.test_case "formation-alloc-budget" `Quick
