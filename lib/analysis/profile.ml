@@ -51,17 +51,15 @@ let measure ?(sched = Sched.default) ~scheme ~support
     Program.compile ~sched ~sizes:entry.Registry.sizes ~scheme ~support
       entry.Registry.source
   in
-  let m, _map = Program.load program in
+  let m, _map = Program.load ~engine:`Reference program in
   let regs = regions program.Program.image in
   let counts : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let rec loop last_cycles =
-    let stats = Machine.stats m in
     let here = region_of regs (Machine.pc m) in
     Machine.step m;
     let now = (Machine.stats m).Stats.cycles in
     Hashtbl.replace counts here
       ((try Hashtbl.find counts here with Not_found -> 0) + now - last_cycles);
-    ignore stats;
     match Machine.outcome m with Some _ -> () | None -> loop now
   in
   loop 0;

@@ -157,6 +157,13 @@ let compute_config c =
            (Printf.sprintf "%s [%s]: aborted: %s" entry.Registry.name
               scheme.Scheme.name msg))
   | None -> ());
+  (match Stats.broken_law result.Program.stats with
+  | Some law ->
+      raise
+        (Wrong_result
+           (Printf.sprintf "%s [%s/%s]: broken law %s" entry.Registry.name
+              scheme.Scheme.name (Support.describe support) law))
+  | None -> ());
   let got = Program.hval_to_string (Option.get result.Program.value) in
   if got <> entry.Registry.expected then
     raise

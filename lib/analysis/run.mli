@@ -12,6 +12,9 @@ module Sched := Tagsim_asm.Sched
 module Program := Tagsim_compiler.Program
 module Registry := Tagsim_programs.Registry
 
+(** A simulation aborted, returned a value other than the benchmark's
+    expected one, or produced statistics that break a conservation law
+    ({!Tagsim_sim.Stats.broken_law}). *)
 exception Wrong_result of string
 
 type measurement = {

@@ -28,7 +28,6 @@ module Sched = Tagsim_asm.Sched
 module Image = Tagsim_asm.Image
 module Link = Tagsim_asm.Link
 module Machine = Tagsim_sim.Machine
-module Fuse = Tagsim_sim.Fuse
 module Trace = Tagsim_sim.Trace
 module Plan = Tagsim_sim.Plan
 module Stats = Tagsim_sim.Stats

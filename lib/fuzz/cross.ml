@@ -246,6 +246,16 @@ let check_cell ~fuel m ~scheme ~support source : string option * bool =
             let runs =
               List.map (fun e -> (e, run_engine ~fuel ~engine:e p)) m.m_engines
             in
+            (* every run that kept its statistics, [Timeout] and [Fault]
+               included, must obey the conservation laws *)
+            List.iter
+              (fun (e, r) ->
+                match Option.bind r.r_stats Stats.broken_law with
+                | Some law ->
+                    fail "%s: engine %s breaks %s" (name ~opt "")
+                      (Machine.engine_name e) law
+                | None -> ())
+              runs;
             (match runs with
             | (e0, r0) :: rest ->
                 level_outcome := (opt, r0.r_outcome) :: !level_outcome;

@@ -99,7 +99,7 @@ type t = {
 }
 
 (* Trace-engine state, owned by the one machine it is attached to.
-   [ts_leader] marks the basic-block leaders ({!Fuse.leaders}), the only
+   [ts_leader] marks the basic-block leaders (see {!Trace}), the only
    pcs that are profiled and can head a trace or a trace segment.
    [ts_heat] counts entries per leader while non-negative; crossing
    [ts_threshold] saturates the counter to [min_int] and calls
@@ -126,7 +126,7 @@ and tstate = {
   ts_form : t -> int -> unit;
   mutable ts_plans : Plan.trace list; (* newest first *)
   mutable ts_dirty : bool;
-  mutable ts_deltas : delta array;
+  mutable ts_deltas : Stats.delta array;
   mutable ts_ndeltas : int;
 }
 
@@ -146,12 +146,6 @@ and trace = {
   tr_exec : t -> int;
   mutable tr_next : trace option;
 }
-
-(* A pre-summed statistics delta: [0..3] hold the cycle, instruction,
-   interlock and squashed-slot totals, [4] the index just past the
-   kind-counter pairs, and the rest are sparse (index, amount) pairs,
-   kind-cycle pairs first, class-count pairs after. *)
-and delta = int array
 
 (* Error codes used by [Aborted]. *)
 let err_type = 1
@@ -307,14 +301,9 @@ let effective t (mode : Insn.mem_mode) base off ~speculative =
            field's upper bit, which a mask would corrupt. *)
         Word.sub addr (expected lsl t.hw.tag_shift) land (t.hw.mem_bytes - 1)
 
-(* A load-use dependence costs one no-op cycle, as if the assembler had
-   inserted a delay no-op (counted in the no-op instruction class). *)
 let interlock_check t (insn : int Insn.t) =
-  if t.pending_load >= 0 && Insn.reads_reg insn t.pending_load then begin
-    t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
-    t.stats.Stats.interlocks <- t.stats.Stats.interlocks + 1;
-    Stats.count_insn t.stats Insn.K_nop
-  end;
+  if t.pending_load >= 0 && Insn.reads_reg insn t.pending_load then
+    Stats.interlock t.stats;
   t.pending_load <- -1
 
 let charge t (e : Image.entry) c = Stats.charge t.stats e.Image.annot c
@@ -392,11 +381,7 @@ let exec_simple t (e : Image.entry) =
         else begin
           (* Resumable trap: operands into tr0/tr1, destination recorded,
              return address into epc. *)
-          t.stats.Stats.traps <- t.stats.Stats.traps + 1;
-          t.stats.Stats.trap_cycles <-
-            t.stats.Stats.trap_cycles + t.hw.trap_overhead;
-          Stats.charge t.stats
-            (Annot.make ~checking:e.Image.annot.Annot.checking Annot.Garith)
+          Stats.trap t.stats ~checking:e.Image.annot.Annot.checking
             t.hw.trap_overhead;
           t.regs.(Reg.tr0) <- a;
           t.regs.(Reg.tr1) <- b;
@@ -432,12 +417,6 @@ let exec_slots t =
   (match t.outcome with None -> exec_simple t s2 | Some _ -> ());
   t.in_slot <- false
 
-let squash_slots t (e : Image.entry) =
-  t.stats.Stats.squashed <- t.stats.Stats.squashed + 2;
-  t.stats.Stats.cycles <- t.stats.Stats.cycles + 2;
-  let s = Stats.slot e.Image.annot in
-  t.stats.Stats.kind_cycles.(s) <- t.stats.Stats.kind_cycles.(s) + 2
-
 (* Retire the control instruction [e] at [t.pc]: its issue, then its
    slots (or their annulment), then the jump. *)
 let branch_to t (e : Image.entry) ~taken ~squash target =
@@ -445,7 +424,8 @@ let branch_to t (e : Image.entry) ~taken ~squash target =
   interlock_check t insn;
   Stats.count_insn t.stats (Insn.klass insn);
   charge t e 1;
-  if squash && not taken then squash_slots t e else exec_slots t;
+  if squash && not taken then Stats.annul t.stats e.Image.annot
+  else exec_slots t;
   match t.outcome with
   | None -> t.pc <- (if taken then target else t.pc + 3)
   | Some _ -> ()
@@ -550,27 +530,17 @@ let trace_counters () =
    -1 undone) in [t.counts], and [run] folds [count * delta] into
    [stats] once, when it returns. --- *)
 
-let fold_delta (s : Stats.t) (d : delta) n =
-  s.Stats.cycles <- s.Stats.cycles + (n * d.(0));
-  s.Stats.insns <- s.Stats.insns + (n * d.(1));
-  s.Stats.interlocks <- s.Stats.interlocks + (n * d.(2));
-  s.Stats.squashed <- s.Stats.squashed + (n * d.(3));
-  let rec pairs i =
-    if i < Array.length d then begin
-      let a = if i < d.(4) then s.Stats.kind_cycles else s.Stats.klass_insns in
-      a.(d.(i)) <- a.(d.(i)) + (n * d.(i + 1));
-      pairs (i + 2)
-    end
-  in
-  pairs 5
+(* The filler of unregistered delta slots: long-lived, since filling a
+   major-heap array with a young value would force a minor collection. *)
+let no_delta = Stats.compress (Stats.create ())
 
 (* [t.counts] grows in step with [ts.ts_deltas], so every registered id
    has a count slot before a trace that counts it can run. *)
-let register_delta t ts (d : delta) =
+let register_delta t ts (d : Stats.delta) =
   let id = ts.ts_ndeltas in
   if id = Array.length ts.ts_deltas then begin
     let more = max 64 id in
-    ts.ts_deltas <- Array.append ts.ts_deltas (Array.make more [||]);
+    ts.ts_deltas <- Array.append ts.ts_deltas (Array.make more no_delta);
     t.counts <- Array.append t.counts (Array.make more 0)
   end;
   ts.ts_deltas.(id) <- d;
@@ -583,7 +553,7 @@ let fold_counts t ts =
   Array.iteri
     (fun id n ->
       if n <> 0 then begin
-        fold_delta t.stats ts.ts_deltas.(id) n;
+        Stats.fold_delta t.stats ts.ts_deltas.(id) n;
         t.counts.(id) <- 0
       end)
     t.counts

@@ -57,9 +57,9 @@ val engine_all : engine list
 (** Inverse of {!engine_name}; [None] for an unknown name. *)
 val engine_by_name : string -> engine option
 
-(** The machine state.  The record is exposed so that {!Fuse} and
-    {!Trace} can compile closures that operate on it directly; treat it
-    as read-only outside [lib/sim] and use the accessors below. *)
+(** The machine state.  The record is exposed so that {!Trace} can
+    compile closures that operate on it directly; treat it as read-only
+    outside [lib/sim] and use the accessors below. *)
 type t = {
   hw : hw;
   code : Image.entry array;
@@ -114,7 +114,7 @@ and tstate = {
   ts_form : t -> int -> unit;
   mutable ts_plans : Plan.trace list; (* newest first *)
   mutable ts_dirty : bool;
-  mutable ts_deltas : delta array;
+  mutable ts_deltas : Stats.delta array;
   mutable ts_ndeltas : int;
 }
 
@@ -134,11 +134,6 @@ and trace = {
   tr_exec : t -> int;
   mutable tr_next : trace option;
 }
-
-(** A pre-summed statistics delta: the cycle, instruction, interlock
-    and squashed-slot totals, the index just past the kind-slot pairs,
-    then (slot, amount) pairs, kind slots first and classes after. *)
-and delta = int array
 
 (** {1 Abort codes} *)
 
@@ -215,10 +210,7 @@ val run : t -> outcome
 
 (** [register_delta m ts d] registers [d] in [m]'s trace state [ts] and
     returns its id, growing [m]'s counts to cover it. *)
-val register_delta : t -> tstate -> delta -> int
-
-(** [fold_delta s d n] adds [n] times [d] into [s]. *)
-val fold_delta : Stats.t -> delta -> int -> unit
+val register_delta : t -> tstate -> Stats.delta -> int
 
 (** {1 Trace-engine counters}
 

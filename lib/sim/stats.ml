@@ -43,17 +43,49 @@ let create () =
     trap_cycles = 0;
   }
 
-let slot (a : Annot.t) =
-  (kind_code a.Annot.kind * 2) + if a.Annot.checking then 1 else 0
+let clear t =
+  t.cycles <- 0;
+  t.insns <- 0;
+  Array.fill t.kind_cycles 0 (Array.length t.kind_cycles) 0;
+  Array.fill t.klass_insns 0 (Array.length t.klass_insns) 0;
+  t.squashed <- 0;
+  t.interlocks <- 0;
+  t.traps <- 0;
+  t.trap_cycles <- 0
 
-let charge t (a : Annot.t) cycles =
+let slot_of code checking = (code * 2) + if checking then 1 else 0
+let slot (a : Annot.t) = slot_of (kind_code a.Annot.kind) a.Annot.checking
+
+let charge_slot t si cycles =
   t.cycles <- t.cycles + cycles;
-  t.kind_cycles.(slot a) <- t.kind_cycles.(slot a) + cycles
+  t.kind_cycles.(si) <- t.kind_cycles.(si) + cycles
+
+let charge t (a : Annot.t) cycles = charge_slot t (slot a) cycles
 
 let count_insn t klass =
   t.insns <- t.insns + 1;
   let i = Insn.klass_index klass in
   t.klass_insns.(i) <- t.klass_insns.(i) + 1
+
+(* A load-use dependence costs one no-op cycle, as if the assembler had
+   inserted a delay no-op (counted in the no-op class, as in Figure 2). *)
+let interlock t =
+  t.cycles <- t.cycles + 1;
+  t.interlocks <- t.interlocks + 1;
+  count_insn t Insn.K_nop
+
+(* The two annulled delay slots of a squashing branch not taken: their
+   cycles are charged to the branch's annotation and counted squashed. *)
+let annul t (a : Annot.t) =
+  t.squashed <- t.squashed + 2;
+  charge t a 2
+
+(* A resumable generic-arithmetic trap: its fixed overhead is charged to
+   generic arithmetic, in the trapping instruction's checking half. *)
+let trap t ~checking overhead =
+  t.traps <- t.traps + 1;
+  t.trap_cycles <- t.trap_cycles + overhead;
+  charge_slot t (slot_of (kind_code Annot.Garith) checking) overhead
 
 (** Accumulate [src] into [dst]; used when combining the measurements of
     partitioned work (e.g. the parallel experiment pool). *)
@@ -79,6 +111,75 @@ let equal a b =
   && a.interlocks = b.interlocks
   && a.traps = b.traps
   && a.trap_cycles = b.trap_cycles
+
+(* Every cycle is charged to one annotation slot or is an interlock, and
+   every instruction is counted in one class. *)
+let broken_law t =
+  let sum = Array.fold_left ( + ) 0 in
+  let kinds = sum t.kind_cycles and klasses = sum t.klass_insns in
+  if t.cycles <> kinds + t.interlocks then
+    Some
+      (Printf.sprintf "cycles = kind cycles + interlocks (%d <> %d + %d)"
+         t.cycles kinds t.interlocks)
+  else if t.insns <> klasses then
+    Some (Printf.sprintf "insns = class counts (%d <> %d)" t.insns klasses)
+  else None
+
+(* --- Sparse deltas.  [0..5] hold the cycle, instruction, interlock,
+   squashed-slot, trap and trap-cycle totals, [6] the index just past
+   the kind-counter pairs, and the rest are (index, amount) pairs of the
+   non-zero counters, kind cycles first and class counts after. --- *)
+
+type delta = int array
+
+let count_nonzero arr =
+  let n = ref 0 in
+  for i = 0 to Array.length arr - 1 do
+    if Array.unsafe_get arr i <> 0 then incr n
+  done;
+  !n
+
+(* Write [arr]'s non-zero slots into [d] as pairs from [pos] on. *)
+let fill_pairs d pos arr =
+  let p = ref pos in
+  for i = 0 to Array.length arr - 1 do
+    let v = Array.unsafe_get arr i in
+    if v <> 0 then begin
+      d.(!p) <- i;
+      d.(!p + 1) <- v;
+      p := !p + 2
+    end
+  done
+
+let compress t : delta =
+  let kind_end = 7 + (2 * count_nonzero t.kind_cycles) in
+  let d = Array.make (kind_end + (2 * count_nonzero t.klass_insns)) 0 in
+  d.(0) <- t.cycles;
+  d.(1) <- t.insns;
+  d.(2) <- t.interlocks;
+  d.(3) <- t.squashed;
+  d.(4) <- t.traps;
+  d.(5) <- t.trap_cycles;
+  d.(6) <- kind_end;
+  fill_pairs d 7 t.kind_cycles;
+  fill_pairs d kind_end t.klass_insns;
+  d
+
+let fold_delta t (d : delta) n =
+  t.cycles <- t.cycles + (n * d.(0));
+  t.insns <- t.insns + (n * d.(1));
+  t.interlocks <- t.interlocks + (n * d.(2));
+  t.squashed <- t.squashed + (n * d.(3));
+  t.traps <- t.traps + (n * d.(4));
+  t.trap_cycles <- t.trap_cycles + (n * d.(5));
+  let rec pairs i =
+    if i < Array.length d then begin
+      let a = if i < d.(6) then t.kind_cycles else t.klass_insns in
+      a.(d.(i)) <- a.(d.(i)) + (n * d.(i + 1));
+      pairs (i + 2)
+    end
+  in
+  pairs 7
 
 (* --- Accessors used by the analysis layer. --- *)
 

@@ -6,11 +6,12 @@
     product of junction shares drops below a reach cutoff), return
     addresses matched to calls crossed on the path, a loop body closed
     at its back-edge and chained to itself — and compiles it, with the
-    engine's one instruction compiler {!Fuse.compile_op}, to one
-    straight-line continuation chain with a single pre-summed
-    statistics delta — cross-junction delay-slot interlocks and
-    squashing-branch annul accounting statically resolved — and guarded
-    side exits that roll statistics and fuel back to the exact values.
+    traced engine's one instruction compiler, to one straight-line
+    continuation chain with a single pre-summed statistics delta —
+    charged through the same {!Stats} functions as [Machine.step], with
+    cross-junction delay-slot interlocks and squashing-branch annul
+    accounting statically resolved — and guarded side exits that roll
+    statistics and fuel back to the exact values.
     Deltas are counted, and folded into the statistics when
     [Machine.run] returns.
     [Machine.run] on an attached machine dispatches once per trace on
@@ -29,8 +30,8 @@ val default_threshold : int
 (** Superblock length bound, in blocks. *)
 val max_segments : int
 
-(** Install the trace-engine state — the leader bitmap
-    ({!Fuse.leaders}), heat and edge-profile counters and the (initially
+(** Install the trace-engine state — the basic-block leader bitmap,
+    heat and edge-profile counters and the (initially
     empty) trace table and delta registry — on the machine, which owns
     it.  From then on [Machine.run] runs the traced engine instead of
     the reference loop.  Idempotent: re-attaching an attached machine

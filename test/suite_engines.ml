@@ -1,6 +1,6 @@
 (* Differential engine testing.  The traced engine (Tagsim.Trace: cold
-   code on the reference [step], hot paths in superblock traces compiled
-   through Tagsim.Fuse) must be observationally identical to the
+   code on the reference [step], hot paths in compiled superblock
+   traces) must be observationally identical to the
    reference interpreter, both at its default promotion threshold and at
    a threshold of 2, where nearly every path that repeats runs traced:
    every registry benchmark is compiled once per (scheme x named
@@ -33,7 +33,6 @@ module Run = Tagsim.Analysis.Run
 module B = Tagsim.Benchmarks
 module Machine = Tagsim.Machine
 module Metrics = Tagsim.Metrics
-module Fuse = Tagsim.Fuse
 module Trace = Tagsim.Trace
 module Insn = Tagsim.Insn
 module Reg = Tagsim.Reg
@@ -45,22 +44,15 @@ module L = Tagsim.Layout
 (* A registry count, read by name. *)
 let count name = Metrics.(get (counter name))
 
-(* The two cheap conservation laws of [Stats]: every cycle is charged to
-   one annotation slot or is an interlock, and every instruction is
-   counted in one class. *)
-let check_conservation name (s : Stats.t) =
-  let sum = Array.fold_left ( + ) 0 in
-  Alcotest.(check int)
-    (name ^ ": cycles = kind cycles + interlocks")
-    s.Stats.cycles
-    (sum s.Stats.kind_cycles + s.Stats.interlocks);
-  Alcotest.(check int)
-    (name ^ ": insns = class counts")
-    s.Stats.insns (sum s.Stats.klass_insns)
+(* The conservation laws of [Stats] hold on both results. *)
+let check_laws name (s : Stats.t) =
+  match Stats.broken_law s with
+  | Some law -> Alcotest.failf "%s: broken law %s" name law
+  | None -> ()
 
 let check_result name (a : P.result) (b : P.result) =
-  check_conservation (name ^ " (expected)") a.P.stats;
-  check_conservation name b.P.stats;
+  check_laws (name ^ " (expected)") a.P.stats;
+  check_laws name b.P.stats;
   Alcotest.(check (option string))
     (name ^ ": abort") a.P.abort b.P.abort;
   Alcotest.(check (option string))
@@ -212,7 +204,11 @@ let test_garith_rett () =
   in
   let r = check_three "garith-rett" ~setup image in
   expect_outcome "garith-rett" "halted 43" r;
-  Alcotest.(check int) "garith-rett: one trap" 1 (snd r).Stats.traps
+  Alcotest.(check int) "garith-rett: one trap" 1 (snd r).Stats.traps;
+  Alcotest.(check int) "garith-rett: trap overhead cycles"
+    hw.Machine.trap_overhead (snd r).Stats.trap_cycles;
+  Alcotest.(check int) "garith-rett: overhead charged to generic arithmetic"
+    hw.Machine.trap_overhead (Stats.generic_arith (snd r))
 
 (* Squashing branches, both ways.  The assembler inserts the two delay
    slots itself (no-ops under [Sched.off]): a taken squashing branch
@@ -247,7 +243,10 @@ let test_squash_branch () =
   (* 3 li + taken branch + its 2 slot no-ops + not-taken branch + mv +
      halt; the annulled slots retire nothing *)
   Alcotest.(check int) "squash-branch: nine retirements" 9
-    (Stats.executed_insns (snd r))
+    (Stats.executed_insns (snd r));
+  (* one cycle per retirement, plus the two annulled slots *)
+  Alcotest.(check int) "squash-branch: eleven cycles" 11
+    (Stats.total (snd r))
 
 (* Fuel exhaustion in the middle of a straight line: the traced engine
    must stop at the identical retirement count. *)
@@ -322,6 +321,14 @@ let test_interlocks () =
   expect_outcome "interlock-in-block" "halted 14" r;
   Alcotest.(check int) "interlock-in-block: one interlock" 1
     (snd r).Stats.interlocks;
+  (* the interlock retires one no-op, as if the assembler had inserted
+     it: six instructions plus the no-op, one cycle each *)
+  Alcotest.(check int) "interlock-in-block: one no-op" 1
+    (Stats.klass_count (snd r) Insn.K_nop);
+  Alcotest.(check int) "interlock-in-block: seven retirements" 7
+    (Stats.executed_insns (snd r));
+  Alcotest.(check int) "interlock-in-block: seven cycles" 7
+    (Stats.total (snd r));
   (* A code label is a block leader, so it splits the straight line
      between the load and its use: the interlock crosses the block
      boundary, where [step] probes it, or the dynamic probe at a trace
@@ -1061,94 +1068,119 @@ let test_counts_folded_once () =
     "sliced run: all stats counters" true
     (Stats.equal reference.P.stats (Machine.stats m))
 
-(* The sparse delta round trip: folding [Fuse.compress a] into a zeroed
-   [Stats.t] with a count of +1 reproduces the dense accumulator [a]
-   exactly, its pairs are in ascending slot order with [kind_end] just
-   past the kind pairs, a count of -1 (an entry undone by a side exit)
-   then returns to zero, and a count of 3 triples it.  Checked on random
-   accumulators and on the single unit of every instruction of every
-   registry image. *)
-let check_round_trip name (a : Fuse.acc) =
-  let d = Fuse.compress a in
-  let kind_end = d.(4) in
-  let ascending lo hi bound =
-    let ok = ref (kind_end >= 5 && (hi - lo) mod 2 = 0) in
-    let last = ref (-1) in
-    let i = ref lo in
-    while !ok && !i < hi do
-      ok := d.(!i) > !last && d.(!i) < bound && d.(!i + 1) <> 0;
-      last := d.(!i);
-      i := !i + 2
-    done;
-    !ok
-  in
-  let n = Array.length d in
+(* The sparse delta round trip: folding [Stats.compress s] into a zeroed
+   [Stats.t] with a count of +1 reproduces [s] exactly, a count of -1
+   (an entry undone by a side exit) then returns to zero, and a count of
+   3 equals [s] merged three times.  Checked on random statistics and on
+   single units as the trace compiler charges them: the annulled slot
+   pair and a trap under every annotation, and every instruction of
+   every registry image, with and without an interlock. *)
+let check_round_trip name (s : Stats.t) =
+  let d = Stats.compress s in
+  let z = Stats.create () in
+  Stats.fold_delta z d 1;
   Alcotest.(check bool)
-    (name ^ ": ascending pairs") true
-    (kind_end <= n
-    && ascending 5 kind_end (Array.length a.Fuse.a_kind)
-    && ascending kind_end n (Array.length a.Fuse.a_klass));
-  let s = Stats.create () in
-  Machine.fold_delta s d 1;
-  let same =
-    s.Stats.cycles = a.Fuse.a_cycles
-    && s.Stats.insns = a.Fuse.a_insns
-    && s.Stats.interlocks = a.Fuse.a_interlocks
-    && s.Stats.squashed = a.Fuse.a_squashed
-    && s.Stats.kind_cycles = a.Fuse.a_kind
-    && s.Stats.klass_insns = a.Fuse.a_klass
-    && s.Stats.traps = 0 && s.Stats.trap_cycles = 0
-  in
-  Alcotest.(check bool) (name ^ ": fold reproduces the accumulator") true same;
-  Machine.fold_delta s d (-1);
+    (name ^ ": fold reproduces the statistics") true (Stats.equal z s);
+  Stats.fold_delta z d (-1);
   Alcotest.(check bool)
     (name ^ ": undo returns to zero") true
-    (Stats.equal s (Stats.create ()));
-  Machine.fold_delta s d 3;
+    (Stats.equal z (Stats.create ()));
+  Stats.fold_delta z d 3;
+  let s3 = Stats.create () in
+  for _ = 1 to 3 do
+    Stats.merge s3 s
+  done;
   Alcotest.(check bool)
-    (name ^ ": a count multiplies the delta") true
-    (s.Stats.cycles = 3 * a.Fuse.a_cycles
-    && s.Stats.squashed = 3 * a.Fuse.a_squashed
-    && s.Stats.kind_cycles = Array.map (( * ) 3) a.Fuse.a_kind
-    && s.Stats.klass_insns = Array.map (( * ) 3) a.Fuse.a_klass)
+    (name ^ ": a count multiplies the delta") true (Stats.equal z s3)
+
+let all_annots =
+  let open Tagsim.Annot in
+  let kinds =
+    [ Plain; Insert; Remove; Garith; Alloc; Gc_work; Slot_fill ]
+    @ List.concat_map (fun s -> [ Extract s; Check s ]) all_sources
+  in
+  List.concat_map
+    (fun k -> [ make ~checking:false k; make ~checking:true k ])
+    kinds
 
 let test_compress_round_trip () =
   let rng = Random.State.make [| 19 |] in
-  let a = Fuse.acc_create () in
   for trial = 1 to 2000 do
     let rnd () =
       if Random.State.int rng 3 = 0 then Random.State.int rng 2001 - 1000
       else 0
     in
-    a.Fuse.a_cycles <- rnd ();
-    a.Fuse.a_insns <- rnd ();
-    a.Fuse.a_interlocks <- rnd ();
-    a.Fuse.a_squashed <- rnd ();
-    Array.iteri (fun i _ -> a.Fuse.a_kind.(i) <- rnd ()) a.Fuse.a_kind;
-    Array.iteri (fun i _ -> a.Fuse.a_klass.(i) <- rnd ()) a.Fuse.a_klass;
-    check_round_trip (Printf.sprintf "random %d" trial) a
+    let s = Stats.create () in
+    s.Stats.cycles <- rnd ();
+    s.Stats.insns <- rnd ();
+    s.Stats.interlocks <- rnd ();
+    s.Stats.squashed <- rnd ();
+    s.Stats.traps <- rnd ();
+    s.Stats.trap_cycles <- rnd ();
+    Array.iteri (fun i _ -> s.Stats.kind_cycles.(i) <- rnd ()) s.Stats.kind_cycles;
+    Array.iteri (fun i _ -> s.Stats.klass_insns.(i) <- rnd ()) s.Stats.klass_insns;
+    check_round_trip (Printf.sprintf "random %d" trial) s
   done;
-  Array.iteri
-    (fun si _ ->
-      Fuse.acc_clear a;
-      Fuse.acc_add a (Fuse.squash_stat si);
-      check_round_trip (Printf.sprintf "squash slot %d" si) a)
-    a.Fuse.a_kind;
+  let unit name charge =
+    let s = Stats.create () in
+    charge s;
+    check_round_trip name s
+  in
+  List.iter
+    (fun a ->
+      let what = Fmt.str "%a" Tagsim.Annot.pp a in
+      unit ("annul " ^ what) (fun s -> Stats.annul s a);
+      unit ("trap " ^ what) (fun s ->
+          Stats.trap s ~checking:a.Tagsim.Annot.checking 7))
+    all_annots;
   let support = Support.with_checking Support.software in
   List.iter
     (fun (entry : B.entry) ->
       let program =
         P.compile ~sizes:entry.B.sizes ~scheme ~support entry.B.source
       in
-      let code = program.P.image.Image.code in
       Array.iteri
-        (fun i e ->
-          let prev = if i = 0 then None else Some code.(i - 1) in
-          Fuse.acc_clear a;
-          Fuse.acc_add a (Fuse.contribution prev e);
-          check_round_trip (Printf.sprintf "%s unit %d" entry.B.name i) a)
-        code)
+        (fun i (e : Image.entry) ->
+          let charge s =
+            Stats.count_insn s (Insn.klass e.Image.insn);
+            Stats.charge s e.Image.annot 1
+          in
+          unit (Printf.sprintf "%s unit %d" entry.B.name i) charge;
+          unit
+            (Printf.sprintf "%s unit %d interlocked" entry.B.name i)
+            (fun s ->
+              Stats.interlock s;
+              charge s))
+        program.P.image.Image.code)
     (B.all ())
+
+(* [Stats.broken_law] holds on statistics charged through the [Stats]
+   functions, and names each law that a hand-built [Stats.t] breaks. *)
+let test_conservation_laws () =
+  let s = Stats.create () in
+  Stats.count_insn s Insn.K_alu;
+  Stats.charge s (Tagsim.Annot.make Tagsim.Annot.Insert) 3;
+  Stats.interlock s;
+  Stats.annul s Tagsim.Annot.plain;
+  Stats.trap s ~checking:true 5;
+  Alcotest.(check (option string)) "charged: laws hold" None
+    (Stats.broken_law s);
+  let broken what field =
+    let b = Stats.create () in
+    Stats.merge b s;
+    field b;
+    match Stats.broken_law b with
+    | Some law when String.starts_with ~prefix:what law -> ()
+    | Some law -> Alcotest.failf "%s: reported %S" what law
+    | None -> Alcotest.failf "%s: not reported" what
+  in
+  broken "cycles = kind cycles + interlocks" (fun b ->
+      b.Stats.cycles <- b.Stats.cycles + 1);
+  broken "cycles = kind cycles + interlocks" (fun b ->
+      b.Stats.interlocks <- b.Stats.interlocks + 1);
+  broken "insns = class counts" (fun b -> b.Stats.insns <- b.Stats.insns - 1);
+  broken "insns = class counts" (fun b ->
+      b.Stats.klass_insns.(0) <- b.Stats.klass_insns.(0) + 1)
 
 (* Trace formation allocates a few words per unit, not a dense counter
    array per unit: minor-heap words per formed trace (growth and
@@ -1218,6 +1250,7 @@ let suite =
           Alcotest.test_case "one-block-loop" `Quick test_one_block_loop;
           Alcotest.test_case "formation-determinism" `Quick
             test_formation_determinism;
+          Alcotest.test_case "conservation-laws" `Quick test_conservation_laws;
           Alcotest.test_case "compress-round-trip" `Quick
             test_compress_round_trip;
           Alcotest.test_case "trace-state-per-machine" `Quick
