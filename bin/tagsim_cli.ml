@@ -403,7 +403,13 @@ let print_run_summary () =
   Fmt.epr "retired: %d instructions in traced runs, %.0f MIPS over simulate@."
     insns
     (if simulate_s > 0.0 then float_of_int insns /. simulate_s /. 1e6
-     else 0.0)
+     else 0.0);
+  let gc = Gc.quick_stat () in
+  Fmt.epr
+    "gc: %d minor, %d major collections, %.1f Mword allocated in the major \
+     heap, top heap %.1f MB@."
+    gc.Gc.minor_collections gc.Gc.major_collections (gc.Gc.major_words /. 1e6)
+    (float_of_int (gc.Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6)
 
 let experiments_cmd =
   let module Spec = Tagsim.Analysis.Spec in
@@ -419,7 +425,12 @@ let experiments_cmd =
     let requested =
       List.filter (fun a -> want a.Spec.a_name) Planner.artifacts
     in
-    let rendered = Planner.plan ~engine requested in
+    let rendered =
+      try Planner.plan ~engine requested
+      with Tagsim.Analysis.Run.Wrong_result msg ->
+        Fmt.epr "tagsim: wrong result: %s@." msg;
+        exit 1
+    in
     List.iter
       (fun r ->
         (* table1 opens the report; everything else is preceded by a
@@ -432,13 +443,22 @@ let experiments_cmd =
     if verbose then print_run_summary ()
   in
   let only =
+    let names = Planner.names () in
+    let parse s =
+      if List.mem s names then Ok s
+      else
+        Error
+          (`Msg
+             (Fmt.str "unknown artifact: %s (valid artifacts: %s)" s
+                (String.concat ", " names)))
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list (conv (parse, Fmt.string))) []
       & info [ "only" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated subset of table1, figure1, figure2, table2, \
-             table3, garith, ablations, elision.")
+            (Fmt.str "Comma-separated subset of %s."
+               (String.concat ", " names)))
   in
   let json =
     Arg.(
@@ -497,8 +517,12 @@ let experiments_cmd =
              formation time and allocation), entered, the side-exit \
              rate and the share of instructions retired in traces; \
              $(b,retired:) instructions retired by traced runs and the \
-             MIPS over simulate.  Every figure is read from the one \
-             counter registry, summed over all worker domains.")
+             MIPS over simulate.  Every figure so far is read from the \
+             one counter registry, summed over all worker domains.  \
+             Last, $(b,gc:) the process's minor and major collections, \
+             the words allocated in the major heap (promoted or \
+             allocated there directly), and the top major-heap size, \
+             from $(b,Gc.quick_stat).")
   in
   Cmd.v
     (Cmd.info "experiments"

@@ -8,7 +8,7 @@ module Machine := Tagsim_sim.Machine
 module Registry := Tagsim_programs.Registry
 
 (** Every artifact of the reproduction, in output order: table1,
-    figure1, figure2, table2, table3, garith, ablations. *)
+    figure1, figure2, table2, table3, garith, ablations, elision. *)
 val artifacts : Spec.artifact list
 
 val names : unit -> string list

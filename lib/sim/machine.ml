@@ -67,10 +67,14 @@ type t = {
   code : Image.entry array;
   code_entries : int array;
       (* addresses of all code labels, for basic-block leader detection *)
-  mutable mem : int array;
-      (* the materialised prefix of word memory: a power of two of at
+  mutable mem : Bytes.t;
+      (* the materialised prefix of word memory, as packed 32-bit words
+         (4 bytes each, never scanned by the GC): a power of two of at
          least 1024 words, grown by doubling in [write_word]; words past
          its end read as 0 *)
+  mutable mem_limit : int;
+      (* [Bytes.length mem], cached: the hot range test reads this field
+         instead of the block header *)
   mem_words : int; (* addressable size in words: hw.mem_bytes / 4 *)
   regs : int array;
   mutable pc : int;
@@ -161,13 +165,25 @@ let prefix_words ~limit n words =
   let rec double n = if n >= words then n else double (2 * n) in
   min limit (double n)
 
+(* Unchecked 32-bit accesses to a byte offset, in the host's byte order
+   (only [get_word] and [set_word] read or write memory, so the order is
+   never seen): callers check the offset against [mem_limit] first. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* The word at byte offset [off] (a multiple of 4 below [Bytes.length
+   mem]), unsigned. *)
+let get_word mem off = Int32.to_int (get32u mem off) land Word.mask
+let set_word mem off v = set32u mem off (Int32.of_int v)
+
 let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
   if hw.mem_bytes land (hw.mem_bytes - 1) <> 0 then
     invalid_arg "mem_bytes must be a power of two";
   let mem_words = hw.mem_bytes / 4 in
-  let data_words = Array.length image.Image.data_words in
-  let mem = Array.make (prefix_words ~limit:mem_words 1024 data_words) 0 in
-  Array.blit image.Image.data_words 0 mem 0 data_words;
+  let data = image.Image.data_words in
+  let words = prefix_words ~limit:mem_words 1024 (Array.length data) in
+  let mem = Bytes.make (4 * words) '\000' in
+  Array.iteri (fun i w -> set_word mem (4 * i) w) data;
   (* Sorted: [Hashtbl.fold] enumerates in an unspecified (hash-seeded)
      order, and the entry list must not vary from process to process. *)
   let code_entries =
@@ -179,6 +195,7 @@ let create ?(fuel = 600_000_000) ~hw (image : Image.t) =
     code = image.Image.code;
     code_entries;
     mem;
+    mem_limit = Bytes.length mem;
     mem_words;
     regs = Array.make Reg.count 0;
     pc = 0;
@@ -212,29 +229,30 @@ let stats t = t.stats
    itself: [addr lsr 2] of a negative int is a huge positive index, so an
    [idx < 0] test after the shift could never fire — a wild pointer must
    fault on the address, not wrap.  Only the touched prefix of memory is
-   materialised: the fast path is a hit in [t.mem]; a miss below
-   [t.mem_words] reads as 0, or grows [t.mem] for a store. *)
+   materialised: the fast path is a hit below [t.mem_limit]; a miss below
+   [t.mem_words] words reads as 0, or grows [t.mem] for a store.  An
+   unaligned address names the word that contains it. *)
 let read_word t addr =
-  if addr >= 0 && addr lsr 2 < Array.length t.mem then t.mem.(addr lsr 2)
+  if addr >= 0 && addr < t.mem_limit then get_word t.mem (addr land -4)
   else if addr < 0 || addr lsr 2 >= t.mem_words then
     errorf "load fault at %d" addr
   else 0
 
 (* Double [t.mem] until it covers word [idx] (< [t.mem_words]). *)
 let grow t idx =
-  let len = Array.length t.mem in
-  let mem = Array.make (prefix_words ~limit:t.mem_words len (idx + 1)) 0 in
-  Array.blit t.mem 0 mem 0 len;
-  t.mem <- mem
+  let words = prefix_words ~limit:t.mem_words (t.mem_limit / 4) (idx + 1) in
+  let mem = Bytes.make (4 * words) '\000' in
+  Bytes.blit t.mem 0 mem 0 t.mem_limit;
+  t.mem <- mem;
+  t.mem_limit <- Bytes.length mem
 
 let write_word t addr v =
-  if addr >= 0 && addr lsr 2 < Array.length t.mem then
-    t.mem.(addr lsr 2) <- Word.of_int v
+  if addr >= 0 && addr < t.mem_limit then set_word t.mem (addr land -4) v
   else if addr < 0 || addr lsr 2 >= t.mem_words then
     errorf "store fault at %d" addr
   else begin
     grow t (addr lsr 2);
-    t.mem.(addr lsr 2) <- Word.of_int v
+    set_word t.mem (addr land -4) v
   end
 
 (** Direct memory access for the host (loader, result decoding, perf

@@ -64,10 +64,12 @@ type t = {
   hw : hw;
   code : Image.entry array;
   code_entries : int array; (* addresses of all code labels *)
-  mutable mem : int array;
-      (* the materialised prefix of word memory: words past its end read
-         as 0, and only {!write_word} grows it — access memory through
-         {!read_word}/{!write_word}, never through this array *)
+  mutable mem : Bytes.t;
+      (* the materialised prefix of word memory, as packed 32-bit words
+         (4 bytes a word, never scanned by the GC): words past its end
+         read as 0, and only {!write_word} grows it — access memory
+         through {!read_word}/{!write_word}, never through these bytes *)
+  mutable mem_limit : int; (* [Bytes.length mem], for the range test *)
   mem_words : int; (* addressable size in words: [hw.mem_bytes / 4] *)
   regs : int array;
   mutable pc : int;

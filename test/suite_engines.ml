@@ -657,6 +657,63 @@ let test_trace_mem_fault () =
     (Insn.St (Insn.Tag_ignoring, Reg.t4, Reg.t0, 0))
     "store fault"
 
+(* Words with bit 31 set, stored and reloaded in a hot loop through a
+   plain address and through a tagged pointer (tag-ignoring access), so
+   that the traced legs move them through the trace closures' memory
+   accesses: every leg must read them back unsigned.  The stores sit far
+   past the prefix a machine materialises on creation, the tag-ignoring
+   one in the last words of memory. *)
+let test_trace_high_bit_words () =
+  let n = 200 and step = 0x40000001 and start = 0xFFFFFFFF in
+  let plain = 0x80000 and top = hw.Machine.mem_bytes - 16 in
+  let tagged = (0x1F lsl scheme.Scheme.tag_shift) lor top in
+  let image =
+    assemble (fun b ->
+        Buf.emit b (Insn.Li (Reg.t0, 0));
+        Buf.emit b (Insn.Li (Reg.t6, n));
+        Buf.emit b (Insn.Li (Reg.t1, start));
+        Buf.emit b (Insn.Li (Reg.a0, step));
+        Buf.emit b (Insn.Li (Reg.t4, plain));
+        Buf.emit b (Insn.Li (Reg.t5, tagged));
+        Buf.emit b (Insn.Li (Reg.v0, 0));
+        Buf.emit b (Insn.Li (Reg.t8, 0));
+        Buf.label b "loop";
+        Buf.emit b (Insn.St (Insn.Plain, Reg.t4, Reg.t1, 0));
+        Buf.emit b (Insn.Ld (Insn.Plain, Reg.t2, Reg.t4, 0));
+        Buf.emit b (Insn.St (Insn.Tag_ignoring, Reg.t5, Reg.t2, 4));
+        Buf.emit b (Insn.Ld (Insn.Tag_ignoring, Reg.t3, Reg.t5, 4));
+        Buf.emit b (Insn.Alu (Insn.Xor, Reg.v0, Reg.v0, Reg.t3));
+        Buf.emit b (Insn.Alui (Insn.Srl, Reg.t7, Reg.t3, 31));
+        Buf.emit b (Insn.Alu (Insn.Add, Reg.t8, Reg.t8, Reg.t7));
+        Buf.emit b (Insn.Alu (Insn.Add, Reg.t1, Reg.t1, Reg.a0));
+        Buf.emit b (Insn.Alui (Insn.Add, Reg.t0, Reg.t0, 1));
+        Buf.emit b (branch Insn.Ne Reg.t0 Reg.t6 "loop");
+        Buf.emit b (Insn.St (Insn.Plain, Reg.t4, Reg.t8, 8));
+        Buf.emit b Insn.Halt)
+  in
+  let words = List.init n (fun i -> (start + (i * step)) land 0xFFFFFFFF) in
+  let last = List.nth words (n - 1) in
+  let high =
+    List.length (List.filter (fun w -> w land 0x80000000 <> 0) words)
+  in
+  let machines = ref [] in
+  let setup m = machines := m :: !machines in
+  let r = check_three "high-bit-words" ~threshold:4 ~setup image in
+  expect_outcome "high-bit-words"
+    (Printf.sprintf "halted %d" (List.fold_left ( lxor ) 0 words))
+    r;
+  check_laws "high-bit-words" (snd r);
+  Alcotest.(check int) "high-bit-words: both traced legs form traces" 2
+    (List.length (List.filter (fun m -> trace_count m > 0) !machines));
+  Alcotest.(check bool) "high-bit-words: some words have bit 31" true
+    (high > 0 && high < n);
+  List.iter
+    (fun m ->
+      Alcotest.(check (list int))
+        "high-bit-words: memory" [ last; last; high ]
+        (List.map (Machine.peek m) [ plain; top + 4; plain + 8 ]))
+    !machines
+
 (* --- Uncompilable delay slots: raw slot contents the assembler never
    emits.  A block's shape stops before such a branch, so no trace grows
    through it, and the traced run loop steps the branch with its slots
@@ -1239,6 +1296,8 @@ let suite =
             test_trace_cross_interlock;
           Alcotest.test_case "trace-fuel" `Quick test_trace_fuel;
           Alcotest.test_case "trace-mem-fault" `Quick test_trace_mem_fault;
+          Alcotest.test_case "trace-high-bit-words" `Quick
+            test_trace_high_bit_words;
           Alcotest.test_case "trace-stack-overflow" `Quick
             test_trace_stack_overflow;
           Alcotest.test_case "trace-fuel-sweep" `Quick test_trace_fuel_sweep;

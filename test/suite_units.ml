@@ -444,8 +444,61 @@ let test_memory_faults () =
   (* a faulting store neither grows nor writes memory *)
   Alcotest.(check int) "top word still 0" 0 (Machine.peek m (mem4 - 4))
 
+(* Machine words are 32 bits wide: words with bit 31 set come back
+   unsigned from the loaded data, from a grown prefix and from the top
+   word of memory. *)
+let high_words = [ 0x80000000; 0xFFFFFFFF; 0x7FFFFFFF ]
+
+let test_memory_high_bit () =
+  let m =
+    Machine.create ~hw:hw4
+      (raw_image ~data:(Array.of_list high_words) [ Insn.Halt ])
+  in
+  Alcotest.(check (list int))
+    "loaded data" high_words
+    (List.map (Machine.peek m) [ 0; 4; 8 ]);
+  List.iter
+    (fun base ->
+      List.iteri (fun i w -> Machine.poke m (base + (4 * i)) w) high_words;
+      Alcotest.(check (list int))
+        (Printf.sprintf "round trip at %d" base)
+        high_words
+        (List.map (fun i -> Machine.peek m (base + (4 * i))) [ 0; 1; 2 ]))
+    [ 12; 8192; mem4 / 2 ];
+  List.iter
+    (fun w ->
+      Machine.poke m (mem4 - 4) w;
+      Alcotest.(check int) (Printf.sprintf "top word 0x%x" w) w
+        (Machine.peek m (mem4 - 4)))
+    high_words
+
+(* An unaligned byte address names the word that contains it. *)
+let test_memory_unaligned () =
+  let m = Machine.create ~hw:hw4 (raw_image ~data:image_data [ Insn.Halt ]) in
+  Machine.poke m 12 44;
+  Alcotest.(check (list int))
+    "bytes 12..15 read the word at 12" [ 44; 44; 44; 44 ]
+    (List.map (Machine.peek m) [ 12; 13; 14; 15 ]);
+  Machine.poke m 6 0x80000000;
+  Alcotest.(check (list int))
+    "a store at 6 writes the word at 4" [ 11; 0x80000000; 33 ]
+    (List.map (Machine.peek m) [ 0; 4; 8 ])
+
+(* Touching the top word materialises the whole address space, which
+   must cost about [mem_bytes]: an [int array] prefix, 8 bytes a word,
+   would cost twice that. *)
+let test_memory_growth_alloc () =
+  let m = Machine.create ~hw:hw4 (raw_image ~data:image_data [ Insn.Halt ]) in
+  let before = Gc.allocated_bytes () in
+  Machine.poke m (mem4 - 4) 1;
+  let bytes = Gc.allocated_bytes () -. before in
+  let limit = 1.25 *. float_of_int mem4 in
+  if bytes > limit then
+    Alcotest.failf "growing to %d bytes allocated %.0f bytes (limit %.0f)"
+      mem4 bytes limit
+
 (* Creating a machine costs the image's data, not the address space:
-   zero-filling all [mem_bytes / 4] words would allocate 64x the limit. *)
+   zero-filling all [mem_bytes] bytes would allocate 8x the limit. *)
 let test_memory_create_alloc () =
   let image = raw_image ~data:image_data [ Insn.Halt ] in
   let before = Gc.allocated_bytes () in
@@ -526,5 +579,9 @@ let suite =
         Alcotest.test_case "memory-faults" `Quick test_memory_faults;
         Alcotest.test_case "memory-create-alloc" `Quick
           test_memory_create_alloc;
+        Alcotest.test_case "memory-high-bit" `Quick test_memory_high_bit;
+        Alcotest.test_case "memory-unaligned" `Quick test_memory_unaligned;
+        Alcotest.test_case "memory-growth-alloc" `Quick
+          test_memory_growth_alloc;
       ] );
   ]
